@@ -1,0 +1,8 @@
+"""Make the benchmark's modules importable from its tests."""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(BENCH_DIR))
+sys.path.insert(0, str(BENCH_DIR.parent / "src"))
