@@ -30,7 +30,13 @@ from ..faults.runtime import (  # simlint: disable=ARCH001 - same inversion as a
 from ..sim.trace import TimeSeries
 from ..switches.queues import FluidQueue
 from ..units import gbps, kib, mbps
-from .sender_bank import activation_tick, clamp_drain, fold_traj, sample_ticks
+from .sender_bank import (
+    LinkFabric,
+    activation_tick,
+    clamp_drain,
+    fold_traj,
+    sample_ticks,
+)
 
 if TYPE_CHECKING:
     from ..net.topology import Topology
@@ -368,8 +374,6 @@ class AimdFluidSimulator:
         then cuts when any of its route links dropped bytes this tick
         and grows otherwise.
         """
-        from .link_engine import LinkFabric
-
         dt = self.dt
         steps = int(round(duration / dt))
         samples_every = max(1, int(round(self.sample_interval / dt)))
@@ -380,7 +384,7 @@ class AimdFluidSimulator:
                 () if self.faults is None
                 else tuple(self.faults.link_names())
             )
-            self.fabric = LinkFabric(
+            self.fabric = LinkFabric.from_topology(
                 self.topology, routes, extra_links=extra,
                 max_occupancy=self.buffer_bytes,
             )

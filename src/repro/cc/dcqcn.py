@@ -26,6 +26,7 @@ simulator uses as static weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -260,24 +261,40 @@ class OnOffDcqcnJob(OnOffSource):
         )
 
 
+def check_duration(duration: float) -> None:
+    """Reject a run length that is negative or not finite."""
+    if not math.isfinite(duration) or duration < 0:
+        raise ConfigError(
+            f"duration must be finite and >= 0, got {duration!r}"
+        )
+
+
 class _SampleBuffer:
     """Buffered sample rows flushed into a result after the run.
 
-    The fixed-step loop appends ``(time, per-sender rates, queue)`` rows
-    and materializes the :class:`TimeSeries` objects (and any telemetry
-    events) once at the end, so disabled-telemetry runs pay no
-    per-sample branch in the inner loop.
+    The fixed-step loops append ``(time, per-sender rates, per-link
+    occupancies)`` rows and materialize the :class:`TimeSeries` objects
+    (and any telemetry events) once at the end, so disabled-telemetry
+    runs pay no per-sample branch in the inner loop. The headline
+    ``queue_series`` is the cross-link elementwise maximum (the most
+    congested hop at each sample, mirroring what the senders react to).
+    Without ``link_names`` the rows carry the single bottleneck's
+    occupancy; with them — a multi-link fabric run — the flush also
+    materializes one queue series per link.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, link_names: Optional[Sequence[str]] = None) -> None:
+        self.link_names = link_names
         self.rows: List[tuple] = []
 
-    def snapshot(self, time: float, senders, occupancy: float) -> None:
+    def snapshot(
+        self, time: float, senders, occupancies: List[float]
+    ) -> None:
         """Capture one sample row from live sender objects."""
         self.rows.append((
             time,
             [0.0 if sender.done else sender.rate for sender in senders],
-            occupancy,
+            occupancies,
         ))
 
     def flush(self, result: "DcqcnResult", names, telemetry) -> None:
@@ -287,9 +304,18 @@ class _SampleBuffer:
             result.rate_series[name] = TimeSeries.from_arrays(
                 name, times, [row[1][column] for row in self.rows]
             )
-        result.queue_series = TimeSeries.from_arrays(
-            "queue", times, [row[2] for row in self.rows]
-        )
+        if self.link_names is None:
+            worst = [row[2][0] for row in self.rows]
+        else:
+            for column, link_name in enumerate(self.link_names):
+                result.link_queue_series[link_name] = (
+                    TimeSeries.from_arrays(
+                        f"queue:{link_name}", times,
+                        [row[2][column] for row in self.rows],
+                    )
+                )
+            worst = [max(row[2]) for row in self.rows]
+        result.queue_series = TimeSeries.from_arrays("queue", times, worst)
         if telemetry.enabled:
             for time, rates, _ in self.rows:
                 for name, rate in zip(names, rates):
@@ -401,7 +427,12 @@ class DcqcnFluidSimulator:
         self.sample_interval = sample_interval
         self.queue = FluidQueue(capacity)
         self.senders: List[DcqcnSender] = []
-        if pfc_pause_threshold is not None:
+        if pfc_pause_threshold is None:
+            if pfc_resume_threshold is not None:
+                raise ConfigError(
+                    "pfc_resume_threshold needs a pfc_pause_threshold"
+                )
+        else:
             if pfc_pause_threshold <= 0:
                 raise ConfigError("pfc_pause_threshold must be > 0")
             if pfc_resume_threshold is None:
@@ -468,37 +499,35 @@ class DcqcnFluidSimulator:
         """Simulate ``duration`` seconds and return sampled traces.
 
         With ``engine="vector"`` (the default) the run goes through the
-        :class:`repro.cc.sender_bank.SenderBank` fast path — batched
-        sender updates, deterministic span advancement and idle/PFC
-        fast-forward — which produces bit-identical traces. Source types
-        the bank does not recognize fall back to the scalar reference
-        loop automatically; ``engine="scalar"`` forces it.
+        :class:`repro.cc.sender_bank.SenderBank` fast path — the single
+        bottleneck as a one-link fabric, a topology through the fabric
+        :class:`repro.cc.link_engine.LinkSenderBank` attaches — which
+        produces bit-identical traces. Source types the bank does not
+        recognize fall back to the scalar reference loop automatically;
+        ``engine="scalar"`` forces it.
         """
+        check_duration(duration)
         if not self.senders:
             raise SimulationError("add at least one sender before run()")
         self._install_fault_warps()
         emit_fault_events(self.telemetry, self.faults)
-        if self.topology is not None:
-            from .link_engine import (
-                LinkSenderBank,
-                build_fabric,
-                run_scalar_fabric,
-            )
-
-            if self.fabric is None:
-                self.fabric = build_fabric(self)
-            if self.engine == "vector":
-                bank = LinkSenderBank.build(self)
-                if bank is not None:
-                    return bank.run(duration)
-            return run_scalar_fabric(self, duration)
         if self.engine == "vector":
+            from .link_engine import LinkSenderBank
             from .sender_bank import SenderBank
 
-            bank = SenderBank.build(self)
+            if self.topology is None:
+                bank = SenderBank.build(self)
+            else:
+                bank = LinkSenderBank.build(self)
             if bank is not None:
                 return bank.run(duration)
-        return self._run_scalar(duration)
+        if self.topology is None:
+            return self._run_scalar(duration)
+        from .link_engine import build_fabric, run_scalar_fabric
+
+        if self.fabric is None:
+            self.fabric = build_fabric(self)
+        return run_scalar_fabric(self, duration)
 
     def _install_fault_warps(self) -> None:
         """Attach per-job warps (stragglers, skew, latency spikes) once.
@@ -595,7 +624,7 @@ class DcqcnFluidSimulator:
                 samples.snapshot(
                     (step_index + 1) * self.dt,
                     self.senders,
-                    self.queue.occupancy,
+                    [self.queue.occupancy],
                 )
 
     def _scalar_freeze(
@@ -607,7 +636,7 @@ class DcqcnFluidSimulator:
                 samples.snapshot(
                     (step_index + 1) * self.dt,
                     self.senders,
-                    self.queue.occupancy,
+                    [self.queue.occupancy],
                 )
 
     def _scalar_storm(
@@ -621,7 +650,7 @@ class DcqcnFluidSimulator:
                 samples.snapshot(
                     (step_index + 1) * self.dt,
                     self.senders,
-                    self.queue.occupancy,
+                    [self.queue.occupancy],
                 )
 
     def _update_pfc(self) -> None:

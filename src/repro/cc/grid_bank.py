@@ -62,10 +62,14 @@ from ..errors import SimulationError
 from ..faults.runtime import (  # simlint: disable=ARCH001 - the grid engine replays fault windows inline, same inversion as sender_bank
     MODE_FREEZE,
     MODE_NORMAL,
-    capacity_windows,
     emit_fault_events,
 )
-from .dcqcn import DcqcnFluidSimulator, DcqcnResult, _SampleBuffer
+from .dcqcn import (
+    DcqcnFluidSimulator,
+    DcqcnResult,
+    _SampleBuffer,
+    check_duration,
+)
 from .sender_bank import (
     TICK_RETRY,
     SenderBank,
@@ -109,7 +113,7 @@ def _lane_bank(sim) -> Optional[SenderBank]:
     bank = SenderBank.build(sim)
     if bank is None:
         return None
-    if not bank._red_marker or not bank._inline_queue or bank._has_pfc:
+    if not bank._red_marker or bank._has_pfc:
         return None
     # The grid clamps rates with maximum-then-minimum, which matches
     # the scalar if/elif only while the floor sits at or below the
@@ -128,12 +132,16 @@ def run_grid(sims: Sequence, duration: float) -> List[DcqcnResult]:
     order, bit-identical to ``[sim.run(duration) for sim in sims]``."""
     sims = list(sims)
     results: List[Optional[DcqcnResult]] = [None] * len(sims)
-    by_dt: Dict[float, List[int]] = {}
+    by_dt: Dict[float, List[Tuple[int, SenderBank]]] = {}
     for index, sim in enumerate(sims):
-        if grid_compatible(sim):
-            by_dt.setdefault(sim.dt, []).append(index)
-    for indices in by_dt.values():
-        grid = GridBank.build([sims[i] for i in indices])
+        bank = _lane_bank(sim)
+        if bank is not None:
+            by_dt.setdefault(sim.dt, []).append((index, bank))
+    for lanes in by_dt.values():
+        indices = [index for index, _ in lanes]
+        grid = GridBank._stack(
+            [sims[i] for i in indices], [bank for _, bank in lanes]
+        )
         if grid is None:
             continue
         for i, trace in zip(indices, grid.run(duration)):
@@ -239,12 +247,9 @@ class GridBank:
         self._mspan = np.ones(R)
         self._ticking = np.zeros(R, dtype=bool)
         self._n_ticking = 0
-        # Chunked RNG stream per slot, for the CNP draw loop, and the
-        # static per-slot MTU as plain Python floats (the draw loop is
-        # scalar by necessity — vectorized ``**`` is not bit-identical
-        # — so keep its operands out of numpy).
-        self._slot_stream: List[List[Optional[object]]] = []
-        self._mtu_l: List[List[float]] = []
+        # Chunked RNG stream per slot for the CNP draw loop, indexed by
+        # the flat (row-major) slot index ``r * S + s``.
+        self._slot_stream: List[Optional[object]] = [None] * (R * S)
         self._lanes: List[_Lane] = []
         for r, (sim, bank) in enumerate(zip(sims, banks)):
             n = len(bank.objs)
@@ -266,13 +271,7 @@ class GridBank:
             self._kmax[r] = bank._kmax
             self._pmax[r] = bank._pmax
             self._mspan[r] = bank._mspan
-            stream_row: List[Optional[object]] = [None] * S
-            for s in range(n):
-                stream_row[s] = bank.stream[s]
-            self._slot_stream.append(stream_row)
-            mtu_row = [1.0] * S
-            mtu_row[:n] = [float(m) for m in bank.mtu]
-            self._mtu_l.append(mtu_row)
+            self._slot_stream[r * S:r * S + n] = bank.stream
 
     # ------------------------------------------------------------------
     # Construction
@@ -284,16 +283,21 @@ class GridBank:
         batchability rule (see :func:`grid_compatible`), the time steps
         differ, or two lanes share a numpy generator."""
         sims = list(sims)
-        if not sims:
+        banks = [_lane_bank(sim) for sim in sims]
+        if not sims or any(bank is None for bank in banks):
             return None
-        banks: List[SenderBank] = []
+        return cls._stack(sims, banks)
+
+    @classmethod
+    def _stack(
+        cls, sims: List, banks: List[SenderBank]
+    ) -> Optional["GridBank"]:
+        """The grid over already-built lane banks, or ``None`` if the
+        time steps differ or two lanes share a numpy generator."""
         dt0 = sims[0].dt
         seen_rngs: set = set()
-        for sim in sims:
+        for sim, bank in zip(sims, banks):
             if sim.dt != dt0:
-                return None
-            bank = _lane_bank(sim)
-            if bank is None:
                 return None
             lane_rngs = set(bank._streams_by_rng)
             if lane_rngs & seen_rngs:
@@ -302,7 +306,6 @@ class GridBank:
                 # solo execution.
                 return None
             seen_rngs |= lane_rngs
-            banks.append(bank)
         # One TimerCache per (timer, dt) for the whole grid: the
         # trajectory is a pure function of the key, so lanes share the
         # lazily-extended wrap schedules instead of rebuilding them.
@@ -325,6 +328,7 @@ class GridBank:
         as ``[sim.run(duration) for sim in sims]`` with the vector
         engine, including the fault-event emission and final sender
         writeback each solo run performs."""
+        check_duration(duration)
         dt = self.dt
         steps = int(round(duration / dt))
         self._lanes = []
@@ -366,28 +370,26 @@ class GridBank:
 
     def _drive(self, lane: _Lane) -> Generator[_TickRequest, int, None]:
         """Replay of :meth:`SenderBank.run`'s window loop for one lane;
-        stochastic stretches yield tick requests into the kernel."""
+        stochastic stretches yield tick requests into the kernel. A
+        lane is a one-link fabric, so every window is uniform."""
         sim = lane.sim
         bank = lane.bank
-        base_capacity = sim.capacity
-        for window in capacity_windows(
-            sim.faults, lane.steps, self.dt, base_capacity
-        ):
-            if window.mode == MODE_NORMAL:
-                sim._set_capacity(window.capacity)
+        fabric = bank.fabric
+        for window in fabric.windows(sim.faults, lane.steps, self.dt):
+            fabric.apply_window(window.modes)
+            mode = fabric.uniform_mode()
+            if mode == MODE_NORMAL:
                 yield from self._drive_span(lane, window.start, window.end)
-            elif window.mode == MODE_FREEZE:
+            elif mode == MODE_FREEZE:
                 bank._bulk_freeze(
                     window.start, window.end, lane.samples_every,
                     lane.samples,
                 )
             else:
-                sim._set_capacity(window.capacity)
                 bank._bulk_storm(
                     window.start, window.end, lane.samples_every,
                     lane.samples,
                 )
-        sim._set_capacity(base_capacity)
 
     def _drive_span(
         self, lane: _Lane, start: int, steps: int
@@ -595,13 +597,19 @@ class GridBank:
         sent = self._sent
         iarr = self._i
         occ_arr = self._occ
+        # Infinite senders never clamp, drain or complete, and only
+        # on-off jobs activate or carry comm_sent: skip those ops when
+        # no slot can.
+        any_finite = bool(self._finite.any())
+        any_job = bool(self._isjob.any())
         while self._n_ticking:
             ticking = self._ticking
             # Activation block: burst starts due at this tick.
-            due = ticking & (iarr >= self._act_min)
-            if due.any():
-                for r in np.nonzero(due)[0].tolist():
-                    self._run_activations(r)
+            if any_job:
+                due = ticking & (iarr >= self._act_min)
+                if due.any():
+                    for r in np.nonzero(due)[0].tolist():
+                        self._run_activations(r)
             now = iarr * dt
             # RED marking probability per lane (same operand order as
             # the scalar marking_probability fast path).
@@ -615,10 +623,12 @@ class GridBank:
             # Per-slot send: rate * dt on active slots, clamped to the
             # remaining bytes (inf on infinite senders = exact no-op).
             np.multiply(rate, self._dt_act, out=sent)
-            np.minimum(sent, rem, out=sent)
-            rem -= sent
+            if any_finite:
+                np.minimum(sent, rem, out=sent)
+                rem -= sent
             bsent += sent
-            cs += sent
+            if any_job:
+                cs += sent
             # CNP coin flips: scalar ``**`` and the inlined chunk draw,
             # in row-major (lane, slot) order — each lane's slot order,
             # and therefore each stream's draw order, matches solo.
@@ -626,27 +636,30 @@ class GridBank:
             np.greater(sent, 0.0, out=elig)
             elig &= now[:, None] >= ncnp
             elig &= p_mark[:, None] > 0.0
-            if elig.any():
-                self._cnp_pass(elig, p_mark, now)
+            slots = np.flatnonzero(elig)
+            if slots.size:
+                self._cnp_pass(slots, p_mark, now)
             # Byte counter: accumulate post-CNP (a reset this tick
             # still counts this tick's bytes), then exact wrap loops.
             bacc += sent
             wrap = self._wrapb
             np.greater_equal(bacc, self._p_B, out=wrap)
             if wrap.any():
-                self._wrap_pass(wrap, byte=True)
+                self._wrap_pass(np.flatnonzero(wrap), byte=True)
             # Timer: advance active slots by dt, then wrap loops.
             tacc += self._dt_act
             np.greater_equal(tacc, self._p_T, out=wrap)
-            if wrap.any():
-                self._wrap_pass(wrap, byte=False)
+            slots = np.flatnonzero(wrap)
+            if slots.size:
+                self._wrap_pass(slots, byte=False)
             self._tph += act
             # Alpha decay.
             decay = self._decayb
             np.greater_equal(now[:, None], ndecay, out=decay)
             decay &= act
-            if decay.any():
-                self._decay_pass(decay, now)
+            slots = np.flatnonzero(decay)
+            if slots.size:
+                self._decay_pass(slots, now)
             # Rate/target clamps. Maximum-then-minimum equals the
             # scalar if/elif because build() guarantees floor <= line;
             # inactive slots clamp against -inf/+inf (exact no-ops).
@@ -663,13 +676,14 @@ class GridBank:
             )
             # Completions (finite slots that just drained).
             comp = self._compb
-            np.less_equal(rem, 0.0, out=comp)
-            comp &= act
-            if comp.any():
-                comp_r, comp_s = np.nonzero(comp)
-                for r in np.unique(comp_r).tolist():
-                    cols = comp_s[comp_r == r].tolist()
-                    self._run_completions(r, cols)
+            if any_finite:
+                np.less_equal(rem, 0.0, out=comp)
+                comp &= act
+                if comp.any():
+                    comp_r, comp_s = np.nonzero(comp)
+                    for r in np.unique(comp_r).tolist():
+                        cols = comp_s[comp_r == r].tolist()
+                        self._run_completions(r, cols)
             iarr += ticking
             # Sample rows land at tick boundaries, post-update.
             due = ticking & (iarr % self._sev == 0)
@@ -680,7 +694,7 @@ class GridBank:
                     lane.samples.rows.append((
                         int(iarr[r]) * dt,
                         rates_now[r, : lane.n],
-                        float(occ_arr[r]),
+                        [float(occ_arr[r])],
                     ))
             # Lane exits: window end, full idle, or a span-friendly
             # probe gate past retry_at. The gate is a pure cost filter
@@ -709,118 +723,124 @@ class GridBank:
     # ------------------------------------------------------------------
 
     def _cnp_pass(
-        self, elig: np.ndarray, p_mark: np.ndarray, now: np.ndarray
+        self, slots: np.ndarray, p_mark: np.ndarray, now: np.ndarray
     ) -> None:
         """Replay the scalar CNP block for every eligible slot.
 
-        The marking probability comes from the vectorized RED ramp
-        (elementwise IEEE ops, bit-identical to the scalar path), but
-        the coin itself uses Python-float ``**`` — the vectorized power
-        op is *not* bit-identical to the scalar one — and the inlined
-        chunk draw, in row-major order, exactly as ``_tick_run`` does.
-        The slots whose coin lands then update in one fancy-indexed
-        batch of elementwise ops (same op sequence per slot).
+        ``slots`` are the eligible flat (row-major) slot indices, so
+        each lane's slot order, and therefore each stream's draw order,
+        matches solo. The marking probability comes from the vectorized
+        RED ramp (elementwise IEEE ops, bit-identical to the scalar
+        path), but the coin itself uses Python-float ``**`` — the
+        vectorized power op is *not* bit-identical to the scalar one —
+        and the inlined chunk draw, exactly as ``_tick_run`` does. The
+        slots whose coin lands then update in one fancy-indexed batch
+        of elementwise ops (same op sequence per slot).
         """
-        el_r, el_s = np.nonzero(elig)
-        rows = el_r.tolist()
-        cols = el_s.tolist()
-        sent_l = self._sent[el_r, el_s].tolist()
-        q_mark_l = (1.0 - p_mark)[el_r].tolist()
+        lanes = slots // self._S
+        # sent / mtu elementwise is the scalar division bit for bit.
+        packets_l = (
+            self._sent.reshape(-1)[slots] / self._p_mtu.reshape(-1)[slots]
+        ).tolist()
+        q_mark_l = (1.0 - p_mark)[lanes].tolist()
         slot_stream = self._slot_stream
-        mtu_l = self._mtu_l
         hits: List[int] = []
         append_hit = hits.append
-        for j, (r, c, sent_b, q_mark) in enumerate(
-            zip(rows, cols, sent_l, q_mark_l)
+        for j, (slot, packets, q_mark) in enumerate(
+            zip(slots.tolist(), packets_l, q_mark_l)
         ):
-            p_hit = 1.0 - q_mark ** (sent_b / mtu_l[r][c])
-            stream = slot_stream[r][c]
+            p_hit = 1.0 - q_mark ** packets
+            stream = slot_stream[slot]
             pos = stream._pos
             buf = stream._buf
             if pos >= len(buf):
-                if stream._state0 is None:
-                    stream._state0 = stream._rng.bit_generator.state
-                buf = stream._rng.random(stream._chunk).tolist()
-                stream._buf = buf
+                buf = stream.refill()
                 pos = 0
             stream._pos = pos + 1
-            stream._consumed += 1
             if buf[pos] < p_hit:
                 append_hit(j)
         if not hits:
             return
-        hr = el_r[hits]
-        hs = el_s[hits]
-        alpha = self._alpha
-        rate = self._rate
+        if len(hits) < len(packets_l):
+            slots = slots[hits]
+            lanes = lanes[hits]
+        alpha = self._alpha.reshape(-1)
+        rate = self._rate.reshape(-1)
         # a = (1 - g) * alpha + g; rate cut to max(r * (1 - a/2), floor)
         # with target parked at the pre-cut rate — all elementwise.
-        a_new = self._p_omg[hr, hs] * alpha[hr, hs] + self._p_g[hr, hs]
-        alpha[hr, hs] = a_new
-        r_now = rate[hr, hs]
-        self._target[hr, hs] = r_now
+        a_new = (
+            self._p_omg.reshape(-1)[slots] * alpha[slots]
+            + self._p_g.reshape(-1)[slots]
+        )
+        alpha[slots] = a_new
+        r_now = rate[slots]
+        self._target.reshape(-1)[slots] = r_now
         cut = r_now * (1.0 - a_new / 2.0)
-        rate[hr, hs] = np.maximum(cut, self._p_minrate[hr, hs])
-        self._bacc[hr, hs] = 0.0
-        self._tacc[hr, hs] = 0.0
-        self._bst[hr, hs] = 0
-        self._tst[hr, hs] = 0
-        now_sel = now[hr]
-        self._ncnp[hr, hs] = now_sel + self._p_cnpint[hr, hs]
-        self._ndecay[hr, hs] = now_sel + self._p_alphat[hr, hs]
-        self._cnps[hr, hs] += 1
-        self._tph[hr, hs] = 0
+        rate[slots] = np.maximum(cut, self._p_minrate.reshape(-1)[slots])
+        self._bacc.reshape(-1)[slots] = 0.0
+        self._tacc.reshape(-1)[slots] = 0.0
+        self._bst.reshape(-1)[slots] = 0
+        self._tst.reshape(-1)[slots] = 0
+        now_sel = now[lanes]
+        self._ncnp.reshape(-1)[slots] = (
+            now_sel + self._p_cnpint.reshape(-1)[slots]
+        )
+        self._ndecay.reshape(-1)[slots] = (
+            now_sel + self._p_alphat.reshape(-1)[slots]
+        )
+        self._cnps.reshape(-1)[slots] += 1
+        self._tph.reshape(-1)[slots] = 0
 
-    def _wrap_pass(self, wrap: np.ndarray, byte: bool) -> None:
-        """Byte/timer wrap loops with increase events, vectorized one
-        wrap round at a time (per-slot op order matches the scalar
-        while-loop; slots are independent across rounds)."""
-        accum = self._bacc if byte else self._tacc
-        stage = self._bst if byte else self._tst
-        limit = self._p_B if byte else self._p_T
-        bst = self._bst
-        tst = self._tst
-        rate = self._rate
-        target = self._target
-        fast = self._p_fast
-        while True:
-            w_r, w_s = np.nonzero(wrap)
-            if not w_r.size:
-                return
-            accum[w_r, w_s] -= limit[w_r, w_s]
-            stage[w_r, w_s] += 1
+    def _wrap_pass(self, slots: np.ndarray, byte: bool) -> None:
+        """Byte/timer wrap loops with increase events on the wrapping
+        flat ``slots``, vectorized one wrap round at a time (per-slot op
+        order matches the scalar while-loop; slots are independent
+        across rounds)."""
+        accum = (self._bacc if byte else self._tacc).reshape(-1)
+        stage = (self._bst if byte else self._tst).reshape(-1)
+        limit = (self._p_B if byte else self._p_T).reshape(-1)
+        bst = self._bst.reshape(-1)
+        tst = self._tst.reshape(-1)
+        rate = self._rate.reshape(-1)
+        target = self._target.reshape(-1)
+        fast = self._p_fast.reshape(-1)
+        rai = self._p_rai.reshape(-1)
+        rhai = self._p_rhai.reshape(-1)
+        line = self._p_line.reshape(-1)
+        while slots.size:
+            lim = limit[slots]
+            left = accum[slots] - lim
+            accum[slots] = left
+            stage[slots] += 1
             # _increase_event on the wrapped slots: the in-fast branch
             # adds exactly 0.0 (a no-op on positive targets), matching
             # the scalar "pass"; the clamp applies unconditionally.
-            f = fast[w_r, w_s]
-            b = bst[w_r, w_s]
-            t = tst[w_r, w_s]
+            f = fast[slots]
+            b = bst[slots]
+            t = tst[slots]
             in_fast = (b < f) & (t < f)
             past_both = (b >= f) & (t >= f)
             bump = np.where(
-                in_fast,
-                0.0,
-                np.where(
-                    past_both, self._p_rhai[w_r, w_s],
-                    self._p_rai[w_r, w_s],
-                ),
+                in_fast, 0.0, np.where(past_both, rhai[slots], rai[slots])
             )
-            tgt = target[w_r, w_s] + bump
-            np.minimum(tgt, self._p_line[w_r, w_s], out=tgt)
-            target[w_r, w_s] = tgt
-            rate[w_r, w_s] = (tgt + rate[w_r, w_s]) / 2.0
-            wrap[w_r, w_s] = accum[w_r, w_s] >= limit[w_r, w_s]
+            tgt = target[slots] + bump
+            np.minimum(tgt, line[slots], out=tgt)
+            target[slots] = tgt
+            rate[slots] = (tgt + rate[slots]) / 2.0
+            slots = slots[left >= lim]
 
-    def _decay_pass(self, decay: np.ndarray, now: np.ndarray) -> None:
-        """Alpha-decay while-loops, vectorized one round at a time."""
-        alpha = self._alpha
-        ndecay = self._ndecay
-        omg = self._p_omg
-        period = self._p_alphat
-        while True:
-            d_r, d_s = np.nonzero(decay)
-            if not d_r.size:
-                return
-            alpha[d_r, d_s] *= omg[d_r, d_s]
-            ndecay[d_r, d_s] += period[d_r, d_s]
-            decay[d_r, d_s] = now[d_r] >= ndecay[d_r, d_s]
+    def _decay_pass(self, slots: np.ndarray, now: np.ndarray) -> None:
+        """Alpha-decay while-loops on the decaying flat ``slots``,
+        vectorized one round at a time."""
+        lanes = slots // self._S
+        alpha = self._alpha.reshape(-1)
+        ndecay = self._ndecay.reshape(-1)
+        omg = self._p_omg.reshape(-1)
+        period = self._p_alphat.reshape(-1)
+        while slots.size:
+            alpha[slots] *= omg[slots]
+            nd = ndecay[slots] + period[slots]
+            ndecay[slots] = nd
+            again = now[lanes] >= nd
+            slots = slots[again]
+            lanes = lanes[again]

@@ -1,43 +1,53 @@
-"""Vectorized sender bank for the fixed-step DCQCN engine.
+"""The DCQCN vector engine: one sender bank over a link incidence.
 
 :class:`SenderBank` is the ``engine="vector"`` fast path of
-:class:`repro.cc.dcqcn.DcqcnFluidSimulator`. It holds every sender's
-DCQCN rate-machine state (current/target rate, alpha, byte/timer
-accumulators, increase-stage counters, CNP gating clocks) in
+:class:`repro.cc.dcqcn.DcqcnFluidSimulator` on every topology. It runs
+over a :class:`LinkFabric` — per-link queues, PFC state and the links x
+senders route incidence. The classic single bottleneck is the one-link
+fabric :meth:`LinkFabric.bottleneck` (link :data:`BOTTLENECK`, wrapping
+``sim.queue``); a topology-backed simulator brings the fabric that
+:class:`repro.cc.link_engine.LinkSenderBank` attaches. The bank holds
+every sender's DCQCN rate-machine state (current/target rate, alpha,
+byte/timer accumulators, increase-stage counters, CNP gating clocks) in
 structure-of-arrays form and advances the whole bank per tick, with the
 marking randomness pre-drawn in chunks from each sender's generator
 (:class:`UniformChunks`). Three mechanisms make it fast while keeping
 every observable output (rate series, queue series, job timelines,
-bytes/remaining, CNP counts, RNG stream position) *bit-identical* to
-the scalar reference loop:
+bytes/remaining, CNP counts, RNG stream position, PFC pause time)
+*bit-identical* to the scalar reference loop of the simulator's
+topology — ``DcqcnFluidSimulator._run_scalar`` on the bottleneck,
+:func:`repro.cc.link_engine.run_scalar_fabric` on a fabric:
 
 * **Deterministic span advancement** — a tick is deterministic when no
-  CNP can possibly arrive on it: either the queue sits at or below the
-  marker's ``kmin`` (marking probability exactly zero) or every active
-  sender is still inside its CNP gating window (``now`` before
-  ``_next_cnp_time``, so the scalar sender early-outs before drawing).
-  Over a run of such ticks each sender evolves as a piecewise-constant
-  left fold punctuated by byte/timer increase events at exactly
-  computable ticks. :meth:`_plan_sender` walks that evolution segment
-  by segment — ``np.cumsum`` evaluates the folds sequentially in C,
-  bit-identical to the per-tick ``+=``, and the event while-loops run
-  in exact scalar order at the crossing tick — so one span can jump
-  hundreds of ticks *through* increase events, not just up to the next
-  one. The queue trajectory is the exact elementwise fold of the
-  planned per-tick arrivals with the single drain-clamp episode applied
-  in closed form (arrivals are nondecreasing between CNPs, so at most
-  one clamp episode exists).
-* **Idle / PFC fast-forward** — when every source is computing (or
-  done) the clock jumps to the earliest next burst start exposed by
-  :class:`repro.core.lifecycle.OnOffSource` deadlines; PFC-paused
-  intervals jump straight to the resume tick on the closed-form queue
-  drain. Both synthesize the skipped sample rows exactly.
-* **Flat/batched tick kernels** — stochastic ticks (queue above
-  ``kmin`` with a CNP-eligible sender) run a single flat pass over the
-  bank with hoisted locals and an inlined queue/marker update; above
-  ``BATCH_THRESHOLD`` active senders the update runs as numpy array
-  operations (IEEE-754 elementwise ops match the scalar ops
-  bit-for-bit).
+  CNP can possibly arrive on it: on every link either the queue sits at
+  or below the marker's ``kmin`` (marking probability exactly zero) or
+  every active sender is still inside its CNP gating window (``now``
+  before ``_next_cnp_time``, so the scalar sender early-outs before
+  drawing). Over a run of such ticks each sender evolves as a
+  piecewise-constant left fold punctuated by byte/timer increase events
+  at exactly computable ticks. :meth:`SenderBank._plan_sender` walks
+  that evolution segment by segment — ``np.cumsum`` evaluates the folds
+  sequentially in C, bit-identical to the per-tick ``+=``, and the event
+  while-loops run in exact scalar order at the crossing tick — so one
+  span can jump hundreds of ticks *through* increase events, not just up
+  to the next one. Each link's queue trajectory is the exact elementwise
+  fold of the planned per-tick arrivals of the senders crossing it (slot
+  order) with the single drain-clamp episode applied in closed form
+  (arrivals are nondecreasing between CNPs, so at most one clamp episode
+  exists). The span is cut at the earliest violation across all links:
+  a queue above ``kmin`` once a sender is CNP-eligible, or an occupancy
+  at the PFC pause threshold.
+* **Idle and fault-window fast-forward** — when every source is
+  computing (or done) the clock jumps to the earliest next burst start
+  exposed by :class:`repro.core.lifecycle.OnOffSource` deadlines, on the
+  closed-form queue drains. A fault window in which every link is failed
+  or every link storms (on the bottleneck, every failure or storm
+  window) advances in closed form too. Both synthesize the skipped
+  sample rows exactly.
+* **Per-tick kernel** — stochastic ticks (a queue above ``kmin`` with a
+  CNP-eligible sender, a PFC pause, a window that faults only some
+  links) run one flat pass over the bank with hoisted locals and inlined
+  queue/marker updates.
 
 Randomness stays DET001-clean: chunks are drawn from the same
 generators the scalar engine would use, and :meth:`UniformChunks.rewind`
@@ -61,15 +71,22 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.lifecycle import OnOffSource
-from ..faults.runtime import (  # simlint: disable=ARCH001 - vectorized bank replays fault warps inline for bit-equivalence with the scalar tiers
+from ..errors import ConfigError
+from ..faults.events import InjectionSchedule  # simlint: disable=ARCH001 - CC tiers execute fault windows inline for bit-equivalence; shared types pending a layer move
+from ..faults.runtime import (  # simlint: disable=ARCH001 - same inversion as above
     MODE_FREEZE,
     MODE_NORMAL,
+    MODE_STORM,
+    FabricWindow,
     capacity_windows,
+    link_capacity_windows,
 )
 from ..switches.ecn import RedEcnMarker
 from ..switches.queues import FluidQueue
@@ -80,9 +97,9 @@ from .dcqcn import (
     _SampleBuffer,
 )
 
-#: Active-sender count at which the per-tick kernel switches from the
-#: flat Python loop (fastest for a handful of senders) to numpy arrays.
-BATCH_THRESHOLD = 32
+#: A queue's occupancy; ``map`` over it reads every link's occupancy
+#: without a per-call comprehension frame.
+occupancy_of = attrgetter("occupancy")
 
 #: Minimum profitable deterministic span, ticks. Shorter spans fall back
 #: to the per-tick kernel: planning a span costs more than stepping a
@@ -106,45 +123,57 @@ SPAN_MARGIN = 2
 class UniformChunks:
     """Chunked uniform draws from one generator, exactly replayable.
 
-    ``next()`` returns the same sequence as repeated ``rng.random()``
-    calls (numpy fills ``random(n)`` with the identical stream), but
-    amortizes the generator call overhead over ``chunk`` draws.
-    :meth:`rewind` restores the generator to the state the equivalent
-    number of scalar draws would have produced, discarding the unused
-    tail of the final chunk.
+    The kernels draw inline — read ``_buf[_pos]``, advance ``_pos``, and
+    call :meth:`refill` when the buffer runs out — which yields the same
+    sequence as repeated ``rng.random()`` calls (numpy fills
+    ``random(n)`` with the identical stream) but amortizes the generator
+    call overhead over a chunk of draws. Chunks double from
+    :attr:`FIRST_CHUNK` up to :attr:`MAX_CHUNK`, so a short run over
+    many streams draws little beyond what it uses. :meth:`rewind`
+    restores the generator to the state the equivalent number of scalar
+    draws would have produced, discarding the unused tail of the final
+    chunk.
     """
 
-    def __init__(self, rng: np.random.Generator, chunk: int = 4096) -> None:
+    FIRST_CHUNK = 64
+    MAX_CHUNK = 4096
+
+    __slots__ = ("_rng", "_chunk", "_buf", "_pos", "_drawn", "_state0")
+
+    def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
-        self._chunk = chunk
+        self._chunk = UniformChunks.FIRST_CHUNK
         self._buf: List[float] = []
         self._pos = 0
-        self._consumed = 0
+        #: Draws taken from the generator, including the current chunk.
+        self._drawn = 0
         self._state0 = None
 
-    def next(self) -> float:
-        """The next uniform in [0, 1), identical to ``rng.random()``."""
-        if self._pos >= len(self._buf):
-            if self._state0 is None:
-                self._state0 = self._rng.bit_generator.state
-            self._buf = self._rng.random(self._chunk).tolist()
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        self._consumed += 1
-        return value
+    def refill(self) -> List[float]:
+        """Draw the next chunk into the buffer and return it; the next
+        draw reads position 0."""
+        if self._state0 is None:
+            self._state0 = self._rng.bit_generator.state
+        self._buf = self._rng.random(self._chunk).tolist()
+        self._pos = 0
+        self._drawn += self._chunk
+        if self._chunk < UniformChunks.MAX_CHUNK:
+            self._chunk *= 2
+        return self._buf
 
     def rewind(self) -> None:
-        """Leave the generator exactly ``consumed`` scalar draws ahead."""
+        """Leave the generator exactly as many scalar draws ahead as the
+        kernels consumed."""
         if self._state0 is None:
             return
+        consumed = self._drawn - len(self._buf) + self._pos
         self._rng.bit_generator.state = self._state0
-        if self._consumed:
-            self._rng.random(self._consumed)
+        if consumed:
+            self._rng.random(consumed)
         self._state0 = None
         self._buf = []
         self._pos = 0
-        self._consumed = 0
+        self._drawn = 0
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +233,19 @@ def sample_ticks(start: int, end: int, samples_every: int) -> range:
     """Global tick indices in ``[start, end)`` that emit a sample row."""
     first = -(-(start + 1) // samples_every) * samples_every - 1
     return range(first, end, samples_every)
+
+
+def sample_rows(
+    trajs: Sequence[np.ndarray], wanted: range, start: int
+) -> List[List[float]]:
+    """Sample-row vectors from per-column trajectories over a span that
+    begins at tick ``start``: row ``m`` holds every column's value after
+    tick ``wanted[m]`` (index ``wanted[m] - start + 1``)."""
+    offsets = np.arange(
+        wanted.start - start + 1, wanted.stop - start + 1, wanted.step
+    )
+    columns = [traj[offsets].tolist() for traj in trajs]
+    return [list(row) for row in zip(*columns)]
 
 
 def _apply_increase(
@@ -286,39 +328,6 @@ class TimerCache:
             self._extend(p)
         return self.t_at[p]
 
-    def next_event(self, p: int) -> int:
-        """Smallest phase ``q > p`` whose tick wraps the timer.
-
-        The tick *index* that wraps is ``q - 1`` relative to the reset:
-        phase ``q`` is the first tick start that observes the wrap.
-        """
-        t_at = self.t_at
-        if p >= len(t_at):
-            self._extend(p)
-            t_at = self.t_at
-        est = p + int((self._T - t_at[p]) / self._dt) - 2
-        q = est if est > p else p + 1
-        stages = self.stages
-        if q >= len(stages):
-            self._extend(q)
-            stages = self.stages
-        base = stages[p]
-        while True:
-            if q >= len(stages):
-                self._extend(q)
-                stages = self.stages
-            if stages[q] > base:
-                return q
-            q += 1
-
-    def wraps_at(self, q: int) -> int:
-        """How many times the timer wraps on the tick ending at ``q``."""
-        stages = self.stages
-        if q >= len(stages):
-            self._extend(q)
-            stages = self.stages
-        return stages[q] - stages[q - 1]
-
 
 class _Plan:
     """One sender's planned CNP-free evolution.
@@ -360,11 +369,167 @@ class _Plan:
         self.ph0 = ph0
 
 
-class SenderBank:
-    """Structure-of-arrays state for every sender at one bottleneck."""
+#: Link name of the one-link fabric that models the classic single
+#: bottleneck (see :meth:`LinkFabric.bottleneck`).
+BOTTLENECK = "bottleneck"
 
-    def __init__(self, sim) -> None:
+
+class LinkFabric:
+    """Per-link queues, PFC state and route incidence for one simulator.
+
+    ``routes`` holds one tuple of link indices per sender slot. A
+    topology-backed fabric (:meth:`from_topology`) interns links in
+    first-use order over the senders' routes (plus any extra links a
+    fault schedule names), so it only carries the links traffic or
+    faults can actually touch — a fat tree has ``5k^3/4`` directed
+    links but a handful of jobs cross far fewer. The classic single
+    bottleneck is the one-link fabric of :meth:`bottleneck`.
+    """
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        capacities: Sequence[float],
+        routes: Sequence[Tuple[str, ...]],
+        queues: Sequence[FluidQueue],
+        is_bottleneck: bool = False,
+    ) -> None:
+        if not names:
+            raise ConfigError("fabric needs at least one routed link")
+        self.names: List[str] = list(names)
+        self.index: Dict[str, int] = {
+            name: link for link, name in enumerate(self.names)
+        }
+        self.base_caps: List[float] = list(capacities)
+        self.queues: List[FluidQueue] = list(queues)
+        #: Routes as tuples of link indices, one per sender slot.
+        self.routes: List[Tuple[int, ...]] = [
+            tuple(self.index[name] for name in route) for route in routes
+        ]
+        #: The single-bottleneck fabric: its fault windows come from the
+        #: one-link :func:`capacity_windows`, and its results carry the
+        #: headline queue series only (no per-link series).
+        self.is_bottleneck = is_bottleneck
+        n = len(self.names)
+        self.paused: List[bool] = [False] * n
+        self.pause_seconds: List[float] = [0.0] * n
+        # Per-fault-window effective state (mode + capacity per link).
+        self.modes: List[str] = [MODE_NORMAL] * n
+        self.eff_caps: List[float] = list(self.base_caps)
+        self._index_modes()
+
+    @classmethod
+    def from_topology(
+        cls,
+        topology,
+        routes: Sequence[Tuple[str, ...]],
+        extra_links: Sequence[str] = (),
+        max_occupancy: float = math.inf,
+    ) -> "LinkFabric":
+        """Resolve named routes (and extra fault-targeted links) against
+        ``topology``, one fresh queue per link."""
+        names = list(dict.fromkeys(chain(*routes, extra_links)))
+        capacities = [topology.link_by_name(name).capacity for name in names]
+        queues = [
+            FluidQueue(capacity, max_occupancy=max_occupancy)
+            for capacity in capacities
+        ]
+        return cls(names, capacities, routes, queues)
+
+    @classmethod
+    def bottleneck(cls, sim) -> "LinkFabric":
+        """The single-bottleneck simulator ``sim`` as a one-link fabric:
+        link :data:`BOTTLENECK` wraps ``sim.queue`` and carries its PFC
+        state, and every sender routes across it."""
+        fabric = cls(
+            [BOTTLENECK], [sim.capacity],
+            [(BOTTLENECK,)] * len(sim.senders), [sim.queue],
+            is_bottleneck=True,
+        )
+        fabric.paused[0] = sim.pfc_paused
+        return fabric
+
+    def base_capacities(self) -> Dict[str, float]:
+        """Link name -> base capacity, for the fault-window segmentation."""
+        return dict(zip(self.names, self.base_caps))
+
+    def windows(
+        self, schedule: Optional[InjectionSchedule], steps: int, dt: float
+    ) -> List[FabricWindow]:
+        """The fault windows tiling ``[0, steps)`` on this fabric."""
+        if not self.is_bottleneck:
+            return link_capacity_windows(
+                schedule, steps, dt, self.base_capacities()
+            )
+        return [
+            FabricWindow(
+                window.start, window.end,
+                {BOTTLENECK: (window.mode, window.capacity)},
+            )
+            for window in capacity_windows(
+                schedule, steps, dt, self.base_caps[0]
+            )
+        ]
+
+    def apply_window(self, modes: Dict[str, Tuple[str, float]]) -> None:
+        """Point every link at one fault window's mode and capacity."""
+        for index, name in enumerate(self.names):
+            mode, capacity = modes.get(
+                name, (MODE_NORMAL, self.base_caps[index])
+            )
+            self.modes[index] = mode
+            self.eff_caps[index] = capacity
+            if mode != MODE_FREEZE:
+                self.queues[index].capacity = capacity
+        self._index_modes()
+
+    def restore(self) -> None:
+        """Reset every link to its base capacity and normal mode."""
+        for index, capacity in enumerate(self.base_caps):
+            self.modes[index] = MODE_NORMAL
+            self.eff_caps[index] = capacity
+            self.queues[index].capacity = capacity
+        self._index_modes()
+
+    def _index_modes(self) -> None:
+        """Per-window views for the per-tick kernel: which links block
+        their routes (failed or storming; PFC pauses are added tick by
+        tick), and the normal and not-failed links as ``(index, queue)``
+        pairs."""
+        modes = self.modes
+        self.blocked: List[bool] = [mode != MODE_NORMAL for mode in modes]
+        self.normal_links: List[Tuple[int, FluidQueue]] = [
+            (link, queue)
+            for link, queue in enumerate(self.queues)
+            if modes[link] == MODE_NORMAL
+        ]
+        self.live_links: List[Tuple[int, FluidQueue]] = [
+            (link, queue)
+            for link, queue in enumerate(self.queues)
+            if modes[link] != MODE_FREEZE
+        ]
+
+    def uniform_mode(self) -> Optional[str]:
+        """The mode every link is in, or ``None`` when links differ."""
+        mode = self.modes[0]
+        for other in self.modes:
+            if other != mode:
+                return None
+        return mode
+
+
+class SenderBank:
+    """Structure-of-arrays state for every sender over one fabric."""
+
+    def __init__(self, sim, fabric: LinkFabric) -> None:
         self.sim = sim
+        self.fabric = fabric
+        #: Per link, the slots whose route crosses it, ascending — the
+        #: reference loop's arrival accumulation order.
+        self._link_slots: List[List[int]] = [[] for _ in fabric.names]
+        for slot, route in enumerate(fabric.routes):
+            for link in route:
+                self._link_slots[link].append(slot)
         self.objs: List[object] = []
         self.is_job: List[bool] = []
         self.lifec: List[object] = []
@@ -398,7 +563,6 @@ class SenderBank:
         self.stream: List[UniformChunks] = []
         self._streams_by_rng: Dict[int, UniformChunks] = {}
         self._act_tick: List[Optional[int]] = []
-        self._param_arrays: Optional[Dict[str, np.ndarray]] = None
         self._n_active = 0
         self._idle_live: List[int] = []
         # Timer phase bookkeeping for span planning.
@@ -414,7 +578,6 @@ class SenderBank:
         self._pmax = 0.0
         self._mspan = 0.0
         self._has_pfc = False
-        self._inline_queue = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -422,17 +585,40 @@ class SenderBank:
 
     @classmethod
     def build(cls, sim) -> Optional["SenderBank"]:
-        """A bank for ``sim``'s sources, or ``None`` if any source type
-        is outside the vector engine's supported set (custom sources
-        fall back to the scalar reference loop)."""
+        """A bank for ``sim``'s sources, or ``None`` if the vector engine
+        does not cover the configuration (the run then falls back to the
+        scalar reference loop): a source type outside its supported set,
+        a bottleneck queue that is not an unbounded :class:`FluidQueue`,
+        or a topology-backed simulator without an attached fabric (see
+        :class:`repro.cc.link_engine.LinkSenderBank`)."""
         for source in sim.senders:
             if type(source) is not DcqcnSender and (
                 type(source) is not OnOffDcqcnJob
             ):
                 return None
-        bank = cls(sim)
+        if sim.topology is not None:
+            fabric = sim.fabric
+            if fabric is None:
+                return None
+        else:
+            queue = sim.queue
+            if type(queue) is not FluidQueue or not math.isinf(
+                queue.max_occupancy
+            ):
+                return None
+            fabric = LinkFabric.bottleneck(sim)
+        bank = cls(sim, fabric)
         for source in sim.senders:
             bank._add_slot(source)
+        for k in range(len(bank.objs)):
+            # The per-tick kernel clamps rate and target only when they
+            # move, which matches the scalar's per-step clamp for
+            # in-range state; anything else runs the reference loop.
+            if bank.active[k] and not (
+                bank.min_rate[k] <= bank.rate[k] <= bank.line[k]
+                and bank.target[k] <= bank.line[k]
+            ):
+                return None
         bank._n_active = sum(bank.active)
         bank._idle_live = [
             k
@@ -451,11 +637,7 @@ class SenderBank:
             # marking_probability, so the cached span is bit-identical.
             bank._mspan = marker.kmax - marker.kmin
         bank._has_pfc = sim.pfc_pause_threshold is not None
-        bank._inline_queue = type(sim.queue) is FluidQueue and math.isinf(
-            sim.queue.max_occupancy
-        )
         return bank
-
     def _stream_for(self, rng: np.random.Generator) -> UniformChunks:
         # Senders sharing one generator must share one chunk buffer so
         # the draw order within a tick matches the scalar engine.
@@ -537,56 +719,83 @@ class SenderBank:
             )
             self.t_ph.append(0 if fresh else UNKNOWN_PHASE)
 
+
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
 
     def run(self, duration: float) -> DcqcnResult:
         """Simulate ``duration`` seconds; same contract as the scalar
-        :meth:`DcqcnFluidSimulator.run` loop."""
+        reference loop of the simulator's topology."""
         sim = self.sim
         dt = sim.dt
         steps = int(round(duration / dt))
         samples_every = max(1, int(round(sim.sample_interval / dt)))
-        samples = _SampleBuffer()
-        base_capacity = sim.capacity
+        fabric = self.fabric
+        samples = _SampleBuffer(
+            None if fabric.is_bottleneck else fabric.names
+        )
         # Fault windows partition the run; span fast-forward truncates
         # at every boundary because each window's end is the bound the
-        # inner loop sees. An empty schedule is one normal window, i.e.
-        # exactly the historical single-loop run.
-        for window in capacity_windows(sim.faults, steps, dt, base_capacity):
-            if window.mode == MODE_NORMAL:
-                sim._set_capacity(window.capacity)
+        # inner loop sees. An empty schedule is one normal window.
+        for window in fabric.windows(sim.faults, steps, dt):
+            fabric.apply_window(window.modes)
+            mode = fabric.uniform_mode()
+            if mode == MODE_NORMAL:
                 self._run_span(
                     window.start, window.end, samples_every, samples
                 )
-            elif window.mode == MODE_FREEZE:
+            elif mode == MODE_FREEZE:
                 self._bulk_freeze(
                     window.start, window.end, samples_every, samples
                 )
-            else:
-                sim._set_capacity(window.capacity)
+            elif mode == MODE_STORM:
                 self._bulk_storm(
                     window.start, window.end, samples_every, samples
                 )
-        sim._set_capacity(base_capacity)
+            else:
+                # Links disagree, so blocking is per route and span
+                # planning would be invalid; fault windows are short
+                # relative to the run.
+                self._tick_run(
+                    window.start, window.end, samples_every, samples,
+                    fast_exit=False,
+                )
         return self._finish(duration, steps, samples)
+
+    def _update_pfc_all(self) -> None:
+        """Idempotent start-of-tick PFC hysteresis on every normal link."""
+        sim = self.sim
+        pause_threshold = sim.pfc_pause_threshold
+        resume_threshold = sim.pfc_resume_threshold
+        paused = self.fabric.paused
+        for link, queue in self.fabric.normal_links:
+            occupancy = queue.occupancy
+            if not paused[link] and occupancy >= pause_threshold:
+                paused[link] = True
+            elif paused[link] and occupancy <= resume_threshold:
+                paused[link] = False
 
     def _run_span(
         self, start: int, steps: int, samples_every: int,
         samples: _SampleBuffer,
     ) -> None:
-        """The regular engine loop over ticks ``[start, steps)``."""
-        sim = self.sim
-        has_pfc = self._has_pfc
+        """The all-links-normal engine loop over ticks ``[start, steps)``."""
         i = start
         retry_at = start
         retry_gap = TICK_RETRY
         while i < steps:
-            if has_pfc:
-                sim._update_pfc()
-                if sim.pfc_paused:
-                    i = self._bulk_pause(i, steps, samples_every, samples)
+            if self._has_pfc:
+                self._update_pfc_all()
+                if True in self.fabric.paused:
+                    # Some routes are blocked: the per-tick kernel owns
+                    # pause accrual and resume; probe again shortly.
+                    end = i + 4 * TICK_RETRY
+                    if end > steps:
+                        end = steps
+                    i = self._tick_run(
+                        i, end, samples_every, samples, fast_exit=False
+                    )
                     retry_gap = TICK_RETRY
                     continue
             if self._n_active == 0:
@@ -604,7 +813,7 @@ class SenderBank:
                     retry_gap = TICK_RETRY
                     continue
                 # Exponential backoff: sustained stochastic stretches
-                # (queue pinned above kmin) reject every attempt, so
+                # (a queue pinned above kmin) reject every attempt, so
                 # probing less often is pure saved work — span
                 # boundaries never affect results.
                 retry_at = i + retry_gap
@@ -615,53 +824,60 @@ class SenderBank:
                 end = steps
             i = self._tick_run(i, end, samples_every, samples)
 
+    # ------------------------------------------------------------------
+    # Idle and fault-window fast-forward
+    # ------------------------------------------------------------------
+
+    def _frozen_rates(self) -> List[float]:
+        """The sample-row rates while no sender moves."""
+        rate = self.rate
+        active = self.active
+        return [rate[k] if active[k] else 0.0 for k in range(len(rate))]
+
     def _bulk_freeze(
         self, i: int, end: int, samples_every: int, samples: _SampleBuffer
     ) -> None:
-        """Failed-link ticks: all state holds; emit sample rows only."""
+        """Every link failed: all state holds; emit sample rows only."""
         dt = self.sim.dt
         wanted = sample_ticks(i, end, samples_every)
         if not len(wanted):
             return
-        occupancy = float(self.sim.queue.occupancy)
-        row = [
-            self.rate[k] if self.active[k] else 0.0
-            for k in range(len(self.objs))
-        ]
+        occs = [float(queue.occupancy) for queue in self.fabric.queues]
+        row = self._frozen_rates()
         for j in wanted:
-            samples.rows.append(((j + 1) * dt, list(row), occupancy))
+            samples.rows.append(((j + 1) * dt, row, occs))
 
     def _bulk_storm(
         self, i: int, end: int, samples_every: int, samples: _SampleBuffer
     ) -> None:
-        """PFC-storm ticks: senders frozen while the queue drains.
+        """Every link in a PFC storm: senders frozen, each queue drains.
 
-        Same closed-form drain as :meth:`_bulk_pause`, but the span is
-        the whole window — no resume-threshold crossing to search for —
-        and the simulator's PFC hysteresis state is left untouched.
+        Each link drains at its window capacity on the closed-form fold,
+        pause time accrues per link and per tick, and the PFC
+        hysteresis state is left untouched.
         """
         sim = self.sim
         dt = sim.dt
         span = end - i
         if span <= 0:
             return
-        occ0 = sim.queue.occupancy
-        delta = (0.0 - sim.capacity) * dt
-        traj = clamp_drain(fold_traj(occ0, delta, span))
-        sim.pfc_pause_seconds = fold_last(sim.pfc_pause_seconds, dt, span)
-        sim.queue.occupancy = float(traj[span])
-        row = [
-            self.rate[k] if self.active[k] else 0.0
-            for k in range(len(self.objs))
-        ]
-        for j in sample_ticks(i, end, samples_every):
-            samples.rows.append(
-                ((j + 1) * dt, list(row), float(traj[j - i + 1]))
+        fabric = self.fabric
+        trajs: List[np.ndarray] = []
+        for link, queue in enumerate(fabric.queues):
+            delta = (0.0 - fabric.eff_caps[link]) * dt
+            traj = clamp_drain(fold_traj(queue.occupancy, delta, span))
+            queue.occupancy = float(traj[span])
+            fabric.pause_seconds[link] = fold_last(
+                fabric.pause_seconds[link], dt, span
             )
-
-    # ------------------------------------------------------------------
-    # Idle / PFC fast-forward
-    # ------------------------------------------------------------------
+            trajs.append(traj)
+        sim.pfc_pause_seconds = fold_last(
+            sim.pfc_pause_seconds, dt, span * len(trajs)
+        )
+        row = self._frozen_rates()
+        wanted = sample_ticks(i, end, samples_every)
+        for j, occs in zip(wanted, sample_rows(trajs, wanted, i)):
+            samples.rows.append(((j + 1) * dt, row, occs))
 
     def _next_activation(self) -> Optional[int]:
         """Earliest activation tick among idle live on-off jobs."""
@@ -676,59 +892,39 @@ class SenderBank:
                 best = tick
         return best
 
-    def _bulk_pause(
-        self, i: int, steps: int, samples_every: int, samples: _SampleBuffer
-    ) -> int:
-        """Fast-forward a PFC-paused stretch; returns the resume tick.
-
-        While paused the senders are frozen (no bytes, no marks, no
-        clock advance in their state machines) and the queue drains at
-        capacity, so the resume tick sits on a closed-form trajectory.
-        """
-        sim = self.sim
-        dt = sim.dt
-        occ0 = sim.queue.occupancy
-        delta = (0.0 - sim.capacity) * dt
-        resume = sim.pfc_resume_threshold
-        estimate = int((occ0 - resume) / (-delta)) + 2 * (SPAN_MARGIN + 2)
-        horizon = min(steps - i, max(estimate, 1))
-        traj = clamp_drain(fold_traj(occ0, delta, horizon))
-        crossing = np.nonzero(traj[1:] <= resume)[0]
-        span = int(crossing[0]) + 1 if crossing.size else horizon
-        span = min(span, steps - i)
-        sim.pfc_pause_seconds = fold_last(sim.pfc_pause_seconds, dt, span)
-        sim.queue.occupancy = float(traj[span])
-        row = [
-            self.rate[k] if self.active[k] else 0.0
-            for k in range(len(self.objs))
-        ]
-        for j in sample_ticks(i, i + span, samples_every):
-            samples.rows.append(
-                ((j + 1) * dt, list(row), float(traj[j - i + 1]))
-            )
-        return i + span
-
     def _bulk_idle(
-        self, i: int, end: int, samples_every: int, samples: _SampleBuffer
+        self, i: int, end: int, samples_every: int, samples
     ) -> None:
-        """Fast-forward ticks where every source computes or is done."""
+        """Fast-forward ticks where every source computes or is done.
+
+        No link is PFC-paused on entry (checked by the caller after the
+        hysteresis update) and occupancies only fall while draining, so
+        no pause can begin mid-stretch and every queue's trajectory is
+        the closed-form drain fold.
+        """
         sim = self.sim
         dt = sim.dt
         span = end - i
         if span <= 0:
             return
-        # The scalar loop still steps the queue on 0.0 arrival.
-        delta = (0.0 / dt - sim.capacity) * dt
-        occ0 = sim.queue.occupancy
+        fabric = self.fabric
         wanted = sample_ticks(i, end, samples_every)
-        if occ0 > 0.0 or len(wanted):
-            traj = clamp_drain(fold_traj(occ0, delta, span))
-            sim.queue.occupancy = float(traj[span])
+        need_rows = len(wanted) > 0
+        trajs: List[Optional[np.ndarray]] = []
+        for link, queue in enumerate(fabric.queues):
+            occ0 = queue.occupancy
+            delta = (0.0 / dt - fabric.eff_caps[link]) * dt
+            if occ0 > 0.0 or need_rows:
+                traj = clamp_drain(fold_traj(occ0, delta, span))
+                queue.occupancy = float(traj[span])
+                trajs.append(traj)
+            else:
+                trajs.append(None)
+        if need_rows:
             zeros = [0.0] * len(self.objs)
-            for j in wanted:
-                samples.rows.append(
-                    ((j + 1) * dt, list(zeros), float(traj[j - i + 1]))
-                )
+            rows = sample_rows(trajs, wanted, i)
+            for j, occs in zip(wanted, rows):
+                samples.rows.append(((j + 1) * dt, zeros, occs))
 
     # ------------------------------------------------------------------
     # Deterministic spans
@@ -919,34 +1115,32 @@ class SenderBank:
         return _Plan(cap, sent, rates, segments, anchors, False, 0.0, ph0)
 
     def _try_span(
-        self, i: int, steps: int, samples_every: int, samples: _SampleBuffer
+        self, i: int, steps: int, samples_every: int, samples
     ) -> int:
         """Advance as many deterministic ticks as possible in one jump.
 
-        Returns the number of ticks advanced (0 if no profitable span
-        exists). Span boundaries are a pure cost decision — every
-        committed quantity is bit-identical to per-tick stepping.
+        The single-link logic generalized over the incidence: per-sender
+        plans are unchanged; the queue fold, clamp episode, kmin cut and
+        PFC cut run per link and the committed span is the minimum cut
+        across all of them. Returns 0 when no profitable span exists.
         """
         if not self._red_marker:
-            # Unknown marker shape: we cannot bound where its
-            # probability becomes positive along the queue trajectory.
             return 0
         sim = self.sim
         dt = sim.dt
         kmin = self._kmin
-        occ0 = sim.queue.occupancy
+        fabric = self.fabric
         active = self.active
         n = len(self.objs)
+        n_links = len(fabric.queues)
+        link_slots = self._link_slots
+        occ0s = list(map(occupancy_of, fabric.queues))
         # Earliest tick offset at which any active sender becomes
-        # CNP-eligible; every tick before it is deterministic even with
-        # a positive marking probability (the scalar sender early-outs
-        # on ``now < _next_cnp_time`` without drawing).
+        # CNP-eligible (identical to the single-link computation).
         elig = steps
-        arrival0 = 0.0
         for k in range(n):
             if not active[k]:
                 continue
-            arrival0 += self.rate[k] * dt
             nc = self.next_cnp[k]
             m = 0
             if i * dt < nc:
@@ -956,13 +1150,20 @@ class SenderBank:
                     m += 1
             if m < elig:
                 elig = m
-        if occ0 > kmin and elig < MIN_SPAN:
-            # Arrivals are nondecreasing over a CNP-free span, so the
-            # queue cannot dip below kmin before ``need / drain`` ticks;
-            # if an eligible tick lands first the span is doomed.
-            drain = sim.capacity * dt - arrival0
-            if drain <= 0.0 or elig < int((occ0 - kmin) / drain):
-                return 0
+        if elig < MIN_SPAN:
+            # Doomed screen, per link: a congested link that cannot
+            # drain below kmin before an eligible tick kills the span.
+            for link in range(n_links):
+                occ0 = occ0s[link]
+                if occ0 <= kmin:
+                    continue
+                arrival0 = 0.0
+                for k in link_slots[link]:
+                    if active[k]:
+                        arrival0 += self.rate[k] * dt
+                drain = fabric.eff_caps[link] * dt - arrival0
+                if drain <= 0.0 or elig < int((occ0 - kmin) / drain):
+                    return 0
         H = steps - i
         if H > MAX_HORIZON:
             H = MAX_HORIZON
@@ -971,93 +1172,104 @@ class SenderBank:
             H = nxt - i
         if H < MIN_SPAN:
             return 0
-        # Trim the horizon to the estimated span end so planning work
-        # is not thrown away: a span chained short is still exact.
-        if occ0 > kmin:
-            e_est = elig + 2 * SPAN_MARGIN
-        else:
-            delta0 = arrival0 - sim.capacity * dt
-            if delta0 > 0.0:
-                e_est = int((kmin - occ0) / delta0) + 1
-                if e_est < elig:
-                    e_est = elig
+        # Trim the horizon to the earliest estimated cut across links.
+        e_est = H
+        for link in range(n_links):
+            occ0 = occ0s[link]
+            if occ0 > kmin:
+                est_l = elig + 2 * SPAN_MARGIN
             else:
-                e_est = H
+                arrival0 = 0.0
+                for k in link_slots[link]:
+                    if active[k]:
+                        arrival0 += self.rate[k] * dt
+                delta0 = arrival0 - fabric.eff_caps[link] * dt
+                if delta0 > 0.0:
+                    est_l = int((kmin - occ0) / delta0) + 1
+                    if est_l < elig:
+                        est_l = elig
+                else:
+                    est_l = H
+            if est_l < e_est:
+                e_est = est_l
         e_est += 4 * SPAN_MARGIN
         if MIN_SPAN <= e_est < H:
             H = e_est
-        plans: List[Optional[_Plan]] = [None] * n
+        plans: List[Optional[object]] = [None] * n
         cap = H
         for k in range(n):
             if not active[k]:
                 continue
             plan = self._plan_sender(k, H, dt)
             if plan is None:
-                # Unknown timer phase; heals at this sender's next CNP.
                 return 0
             plans[k] = plan
             if plan.cap < cap:
                 cap = plan.cap
                 if cap < MIN_SPAN:
                     return 0
-        # Exact queue trajectory: arrivals folded in slot order, then
-        # the per-tick net-delta fold with its single clamp episode.
-        acc = None
-        for k in range(n):
-            plan = plans[k]
-            if plan is None:
-                continue
+        # Exact per-link queue trajectories: arrivals folded in slot
+        # order, then the net-delta fold with its single clamp episode
+        # (arrivals are nondecreasing between CNPs on every link).
+        occs: List[np.ndarray] = []
+        for link in range(n_links):
+            acc = None
+            for k in link_slots[link]:
+                plan = plans[k]
+                if plan is None:
+                    continue
+                if acc is None:
+                    acc = plan.sent[:cap].copy()
+                else:
+                    acc += plan.sent[:cap]
             if acc is None:
-                acc = plan.sent[:cap].copy()
-            else:
-                acc += plan.sent[:cap]
-        deltas = (acc / dt - sim.capacity) * dt
-        occ = np.empty(cap + 1)
-        occ[0] = occ0
-        occ[1:] = deltas
-        occ = occ.cumsum()
-        if deltas[0] < 0.0:
-            nonneg = np.nonzero(deltas >= 0.0)[0]
-            jstar = int(nonneg[0]) if nonneg.size else cap
-            below = np.nonzero(occ[1:jstar + 1] < 0.0)[0]
-            if below.size:
-                kstar = 1 + int(below[0])
-                occ[kstar:jstar + 1] = 0.0
-                if jstar < cap:
-                    tail = np.empty(cap - jstar + 1)
-                    tail[0] = 0.0
-                    tail[1:] = deltas[jstar:]
-                    occ[jstar:] = tail.cumsum()
+                acc = np.zeros(cap)
+            deltas = (acc / dt - fabric.eff_caps[link]) * dt
+            occ = np.empty(cap + 1)
+            occ[0] = occ0s[link]
+            occ[1:] = deltas
+            occ = occ.cumsum()
+            if deltas[0] < 0.0:
+                nonneg = np.nonzero(deltas >= 0.0)[0]
+                jstar = int(nonneg[0]) if nonneg.size else cap
+                below = np.nonzero(occ[1:jstar + 1] < 0.0)[0]
+                if below.size:
+                    kstar = 1 + int(below[0])
+                    occ[kstar:jstar + 1] = 0.0
+                    if jstar < cap:
+                        tail = np.empty(cap - jstar + 1)
+                        tail[0] = 0.0
+                        tail[1:] = deltas[jstar:]
+                        occ[jstar:] = tail.cumsum()
+            occs.append(occ)
         e = cap
-        if elig < e:
-            viol = np.nonzero(occ[elig:e] > kmin)[0]
-            if viol.size:
-                e = elig + int(viol[0])
-        if self._has_pfc and e > 1:
-            hits = np.nonzero(occ[1:e] >= sim.pfc_pause_threshold)[0]
-            if hits.size:
-                e = 1 + int(hits[0])
+        for occ in occs:
+            if elig < e:
+                viol = np.nonzero(occ[elig:e] > kmin)[0]
+                if viol.size:
+                    e = elig + int(viol[0])
+            if self._has_pfc and e > 1:
+                hits = np.nonzero(occ[1:e] >= sim.pfc_pause_threshold)[0]
+                if hits.size:
+                    e = 1 + int(hits[0])
         if e < MIN_SPAN:
             return 0
         now_last = (i + e - 1) * dt
         for k in range(n):
             if plans[k] is not None:
                 self._commit_sender(k, plans[k], e, dt, now_last)
-        sim.queue.occupancy = float(occ[e])
-        wanted = sample_ticks(i, i + e, samples_every)
-        if len(wanted):
-            for j in wanted:
-                u = j - i
-                samples.rows.append((
-                    (j + 1) * dt,
-                    [
-                        float(plans[k].rates[u + 1])
-                        if plans[k] is not None
-                        else 0.0
-                        for k in range(n)
-                    ],
-                    float(occ[u + 1]),
-                ))
+        for link in range(n_links):
+            fabric.queues[link].occupancy = float(occs[link][e])
+        for j in sample_ticks(i, i + e, samples_every):
+            u = j - i + 1
+            samples.rows.append((
+                (j + 1) * dt,
+                [
+                    float(plan.rates[u]) if plan is not None else 0.0
+                    for plan in plans
+                ],
+                [float(occ[u]) for occ in occs],
+            ))
         return e
 
     def _commit_sender(
@@ -1125,7 +1337,7 @@ class SenderBank:
             self.next_decay[k] = nd
 
     # ------------------------------------------------------------------
-    # Per-tick kernels
+    # Per-tick kernel
     # ------------------------------------------------------------------
 
     def _activate(self, k: int, now: float) -> None:
@@ -1172,42 +1384,55 @@ class SenderBank:
             self._idle_live.append(k)
 
     def _increase_event(self, k: int) -> None:
-        fast = self.fast_rounds[k]
-        in_fast = self.b_st[k] < fast and self.t_st[k] < fast
-        past_both = self.b_st[k] >= fast and self.t_st[k] >= fast
-        target = self.target[k]
-        if in_fast:
-            pass
-        elif past_both:
-            target += self.rhai[k]
-        else:
-            target += self.rai[k]
-        line = self.line[k]
-        if target > line:
-            target = line
-        self.target[k] = target
-        self.rate[k] = (target + self.rate[k]) / 2.0
+        self.rate[k], self.target[k] = _apply_increase(
+            self.rate[k], self.target[k], self.b_st[k], self.t_st[k],
+            self.fast_rounds[k], self.rai[k], self.rhai[k], self.line[k],
+        )
 
     def _tick_run(
         self, start: int, stop: int, samples_every: int,
-        samples: _SampleBuffer
+        samples: _SampleBuffer, fast_exit: bool = True,
     ) -> int:
-        """Step ticks ``[start, stop)`` through the exact scalar-
-        equivalent per-tick kernel, hoisting state lookups once for the
-        whole run. Returns the first tick *not* stepped — early when a
-        PFC pause begins or the bank goes fully idle, so the caller's
-        fast-forwards take over."""
+        """Step ticks ``[start, stop)`` through the exact per-tick kernel.
+
+        Mirrors the scalar reference tick with state lookups hoisted once
+        for the whole run: per-link PFC hysteresis and marking, then the
+        senders in slot order — a sender whose route crosses a blocked
+        link (paused, failed or storming) is skipped, any other steps
+        under the largest marking probability on its route and its bytes
+        land on every route link — then the per-link queue updates.
+        Returns the first tick *not* stepped: ``stop``, or earlier when
+        ``fast_exit`` is set and the bank goes fully idle, so the
+        caller's idle fast-forward takes over (normal windows only —
+        faulted windows must keep stepping the queues and pause
+        accounting)."""
         sim = self.sim
         dt = sim.dt
-        queue = sim.queue
+        fabric = self.fabric
+        queues = fabric.queues
+        paused = fabric.paused
+        pause_seconds = fabric.pause_seconds
+        routes = fabric.routes
+        n_links = len(queues)
+        # Window modes hold for the whole call.
+        modes = fabric.modes
+        blocked = fabric.blocked
+        normal_links = fabric.normal_links
+        live_links = fabric.live_links
+        window_blocked = len(normal_links) < n_links
+        accrue = self._has_pfc or MODE_STORM in modes
+        # On one link every route is that link: the per-route max and
+        # arrival folds collapse to the link's own values.
+        one_link = n_links == 1
         has_pfc = self._has_pfc
+        pause_threshold = sim.pfc_pause_threshold
+        resume_threshold = sim.pfc_resume_threshold
         red = self._red_marker
         kmin = self._kmin
         kmax = self._kmax
         pmax = self._pmax
         mspan = self._mspan
         marker = sim.marker
-        inline_queue = self._inline_queue
         n = len(self.objs)
         active = self.active
         rate = self.rate
@@ -1238,23 +1463,31 @@ class SenderBank:
         cnps = self.cnps
         idle_live = self._idle_live
         lifec = self.lifec
+        p_link = [0.0] * n_links
+        arrivals = [0.0] * n_links
         i = start
         while i < stop:
-            if has_pfc and i > start:
-                sim._update_pfc()
-                if sim.pfc_paused:
-                    return i
             now = i * dt
-            occq = queue.occupancy
-            if red:
-                if occq <= kmin:
-                    p_mark = 0.0
-                elif occq >= kmax:
-                    p_mark = 1.0
+            any_blocked = window_blocked
+            for link, queue in normal_links:
+                occq = queue.occupancy
+                if has_pfc:
+                    if not paused[link] and occq >= pause_threshold:
+                        paused[link] = True
+                    elif paused[link] and occq <= resume_threshold:
+                        paused[link] = False
+                    if paused[link]:
+                        any_blocked = True
+                    blocked[link] = paused[link]
+                if red:
+                    if occq <= kmin:
+                        p_link[link] = 0.0
+                    elif occq >= kmax:
+                        p_link[link] = 1.0
+                    else:
+                        p_link[link] = pmax * (occq - kmin) / mspan
                 else:
-                    p_mark = pmax * (occq - kmin) / mspan
-            else:
-                p_mark = marker.marking_probability(occq)
+                    p_link[link] = marker.marking_probability(occq)
             if idle_live:
                 am = self._act_min
                 if am < 0:
@@ -1268,83 +1501,109 @@ class SenderBank:
                             tick = activation_tick(objs[k]._deadline, dt)
                             self._act_tick[k] = tick
                         if i >= tick:
+                            # A blocked route defers activation exactly
+                            # as the reference loop's skipped step().
+                            if any_blocked and True in [
+                                blocked[link] for link in routes[k]
+                            ]:
+                                continue
                             self._activate(k, now)
-            if self._n_active >= BATCH_THRESHOLD:
-                arrival = self._step_batched(now, dt, p_mark)
+            if one_link:
+                if any_blocked:
+                    n_send = 0
+                else:
+                    n_send = n
+                    p_mark = p_link[0]
             else:
-                arrival = 0.0
-                for k in range(n):
-                    if not active[k]:
+                n_send = n
+            arrival = 0.0
+            for k in range(n_send):
+                if not active[k]:
+                    continue
+                if not one_link:
+                    route = routes[k]
+                    p_mark = 0.0
+                    for link in route:
+                        if blocked[link]:
+                            p_mark = -1.0
+                            break
+                        if p_link[link] > p_mark:
+                            p_mark = p_link[link]
+                    if p_mark < 0.0:
                         continue
-                    r = rate[k]
-                    sent = r * dt
-                    fin = finite[k]
-                    if fin:
-                        rem = remaining[k]
-                        if rem < sent:
-                            sent = rem
-                        remaining[k] = rem - sent
-                    bytes_sent[k] += sent
-                    if p_mark > 0.0 and now >= next_cnp[k] and sent > 0.0:
-                        packets = sent / mtu[k]
-                        p_any = 1.0 - (1.0 - p_mark) ** packets
-                        # Inlined UniformChunks.next(): identical draw
-                        # sequence, minus the call overhead.
-                        st = stream[k]
-                        pos = st._pos
-                        buf = st._buf
-                        if pos >= len(buf):
-                            if st._state0 is None:
-                                st._state0 = st._rng.bit_generator.state
-                            buf = st._rng.random(st._chunk).tolist()
-                            st._buf = buf
-                            pos = 0
-                        st._pos = pos + 1
-                        st._consumed += 1
-                        if buf[pos] < p_any:
-                            a = one_minus_g[k] * alpha[k] + g[k]
-                            alpha[k] = a
-                            target[k] = r
-                            cut = r * (1.0 - a / 2.0)
-                            floor = min_rate[k]
-                            rate[k] = cut if cut > floor else floor
-                            b_acc[k] = 0.0
-                            t_acc[k] = 0.0
-                            b_st[k] = 0
-                            t_st[k] = 0
-                            next_cnp[k] = now + cnp_interval[k]
-                            next_decay[k] = now + alpha_timer[k]
-                            cnps[k] += 1
-                            # Accumulator reset to exact 0.0: this
-                            # tick's timer stage advances it to phase 1.
-                            t_ph[k] = 0
-                    ba = b_acc[k] + sent
-                    limit = byte_counter[k]
-                    if ba >= limit:
-                        while ba >= limit:
-                            ba -= limit
-                            b_st[k] += 1
-                            self._increase_event(k)
-                    b_acc[k] = ba
-                    ta = t_acc[k] + dt
-                    limit = timer[k]
-                    if ta >= limit:
-                        while ta >= limit:
-                            ta -= limit
-                            t_st[k] += 1
-                            self._increase_event(k)
-                    t_acc[k] = ta
-                    t_ph[k] += 1
-                    nd = next_decay[k]
-                    if now >= nd:
-                        a = alpha[k]
-                        shrink = one_minus_g[k]
-                        period = alpha_timer[k]
-                        while now >= nd:
-                            a *= shrink
-                            nd += period
+                r = rate[k]
+                sent = r * dt
+                fin = finite[k]
+                if fin:
+                    rem = remaining[k]
+                    if rem < sent:
+                        sent = rem
+                    rem -= sent
+                    remaining[k] = rem
+                bytes_sent[k] += sent
+                # Rate and target move only on a CNP or an increase
+                # event, and build() admits in-range state only, so the
+                # scalar's per-step clamp is a no-op on every other tick.
+                moved = False
+                if p_mark > 0.0 and now >= next_cnp[k] and sent > 0.0:
+                    packets = sent / mtu[k]
+                    p_any = 1.0 - (1.0 - p_mark) ** packets
+                    # Inlined UniformChunks draw.
+                    st = stream[k]
+                    pos = st._pos
+                    buf = st._buf
+                    if pos >= len(buf):
+                        buf = st.refill()
+                        pos = 0
+                    st._pos = pos + 1
+                    if buf[pos] < p_any:
+                        moved = True
+                        a = one_minus_g[k] * alpha[k] + g[k]
                         alpha[k] = a
-                        next_decay[k] = nd
+                        target[k] = r
+                        cut = r * (1.0 - a / 2.0)
+                        floor = min_rate[k]
+                        rate[k] = cut if cut > floor else floor
+                        b_acc[k] = 0.0
+                        t_acc[k] = 0.0
+                        b_st[k] = 0
+                        t_st[k] = 0
+                        next_cnp[k] = now + cnp_interval[k]
+                        next_decay[k] = now + alpha_timer[k]
+                        cnps[k] += 1
+                        # Accumulator reset to exact 0.0: this tick's
+                        # timer stage advances it to phase 1.
+                        t_ph[k] = 0
+                ba = b_acc[k] + sent
+                limit = byte_counter[k]
+                if ba >= limit:
+                    moved = True
+                    while ba >= limit:
+                        ba -= limit
+                        b_st[k] += 1
+                        self._increase_event(k)
+                b_acc[k] = ba
+                ta = t_acc[k] + dt
+                limit = timer[k]
+                if ta >= limit:
+                    moved = True
+                    while ta >= limit:
+                        ta -= limit
+                        t_st[k] += 1
+                        self._increase_event(k)
+                t_acc[k] = ta
+                t_ph[k] += 1
+                nd = next_decay[k]
+                if now >= nd:
+                    a = alpha[k]
+                    shrink = one_minus_g[k]
+                    period = alpha_timer[k]
+                    while now >= nd:
+                        a *= shrink
+                        nd += period
+                    alpha[k] = a
+                    next_decay[k] = nd
+                if moved:
                     r = rate[k]
                     floor = min_rate[k]
                     ln = line[k]
@@ -1354,147 +1613,40 @@ class SenderBank:
                         rate[k] = ln
                     if target[k] > ln:
                         target[k] = ln
+                if one_link:
                     arrival += sent
-                    if is_job[k]:
-                        lifec[k].comm_sent += sent
-                        if remaining[k] <= 0.0:
-                            self._complete(k, now, dt)
-                    elif fin and remaining[k] <= 0.0:
-                        active[k] = False
-                        self._n_active -= 1
-            if inline_queue:
-                net = (arrival / dt if dt > 0 else 0.0) - queue.capacity
+                else:
+                    for link in route:
+                        arrivals[link] += sent
+                if is_job[k]:
+                    lifec[k].comm_sent += sent
+                    if rem <= 0.0:
+                        self._complete(k, now, dt)
+                elif fin and rem <= 0.0:
+                    active[k] = False
+                    self._n_active -= 1
+            if one_link:
+                arrivals[0] = arrival
+            for link, queue in live_links:
+                if accrue and (paused[link] or modes[link] == MODE_STORM):
+                    pause_seconds[link] += dt
+                    sim.pfc_pause_seconds += dt
+                net = arrivals[link] / dt - queue.capacity
                 occq = queue.occupancy + net * dt
                 if net < 0.0 and occq <= 0.0:
                     occq = 0.0
                 queue.occupancy = occq
-            else:
-                queue.step(arrival / dt if dt > 0 else 0.0, dt)
+                arrivals[link] = 0.0
             i += 1
             if i % samples_every == 0:
                 samples.rows.append((
                     i * dt,
                     [rate[k] if active[k] else 0.0 for k in range(n)],
-                    queue.occupancy,
+                    list(map(occupancy_of, queues)),
                 ))
-            if self._n_active == 0:
+            if fast_exit and self._n_active == 0:
                 return i
         return i
-
-    def _step_batched(self, now: float, dt: float, p_mark: float) -> float:
-        """Numpy per-tick update of every active slot (large banks)."""
-        act = [k for k in range(len(self.objs)) if self.active[k]]
-        if self._param_arrays is None:
-            self._param_arrays = {
-                "line": np.array(self.line),
-                "min_rate": np.array(self.min_rate),
-                "byte_counter": np.array(self.byte_counter),
-                "timer": np.array(self.timer),
-            }
-        idx = np.array(act, dtype=np.intp)
-        pa = self._param_arrays
-        line = pa["line"][idx]
-        floor = pa["min_rate"][idx]
-        byte_counter = pa["byte_counter"][idx]
-        timer = pa["timer"][idx]
-        r = np.array([self.rate[k] for k in act])
-        sent = r * dt
-        finite = np.array([self.finite[k] for k in act])
-        rem = np.array(
-            [self.remaining[k] if self.finite[k] else 0.0 for k in act]
-        )
-        if finite.any():
-            capped = np.minimum(sent, rem)
-            sent = np.where(finite, capped, sent)
-            rem = rem - np.where(finite, sent, 0.0)
-        bs = np.array([self.bytes_sent[k] for k in act]) + sent
-        arrival = float(sent.cumsum()[-1]) if len(act) else 0.0
-        if p_mark > 0.0:
-            ncnp = np.array([self.next_cnp[k] for k in act])
-            eligible = np.nonzero((now >= ncnp) & (sent > 0.0))[0]
-            for pos in eligible:
-                k = act[pos]
-                packets = float(sent[pos]) / self.mtu[k]
-                p_any = 1.0 - (1.0 - p_mark) ** packets
-                if self.stream[k].next() < p_any:
-                    a = self.one_minus_g[k] * self.alpha[k] + self.g[k]
-                    self.alpha[k] = a
-                    rk = float(r[pos])
-                    self.target[k] = rk
-                    cut = rk * (1.0 - a / 2.0)
-                    mr = self.min_rate[k]
-                    r[pos] = cut if cut > mr else mr
-                    self.b_acc[k] = 0.0
-                    self.t_acc[k] = 0.0
-                    self.b_st[k] = 0
-                    self.t_st[k] = 0
-                    self.next_cnp[k] = now + self.cnp_interval[k]
-                    self.next_decay[k] = now + self.alpha_timer[k]
-                    self.cnps[k] += 1
-                    self.t_ph[k] = 0
-        # The scalar step resets accumulators before the increase stage
-        # on a CNP tick, so re-read them after the CNP pass.
-        ba = np.array([self.b_acc[k] for k in act]) + sent
-        for pos in np.nonzero(ba >= byte_counter)[0]:
-            k = act[pos]
-            value = float(ba[pos])
-            limit = self.byte_counter[k]
-            self.rate[k] = float(r[pos])
-            while value >= limit:
-                value -= limit
-                self.b_st[k] += 1
-                self._increase_event(k)
-            ba[pos] = value
-            r[pos] = self.rate[k]
-        ta = np.array([self.t_acc[k] for k in act]) + dt
-        for pos in np.nonzero(ta >= timer)[0]:
-            k = act[pos]
-            value = float(ta[pos])
-            limit = self.timer[k]
-            self.rate[k] = float(r[pos])
-            while value >= limit:
-                value -= limit
-                self.t_st[k] += 1
-                self._increase_event(k)
-            ta[pos] = value
-            r[pos] = self.rate[k]
-        ndecay = np.array([self.next_decay[k] for k in act])
-        for pos in np.nonzero(now >= ndecay)[0]:
-            k = act[pos]
-            a = self.alpha[k]
-            nd = self.next_decay[k]
-            shrink = self.one_minus_g[k]
-            period = self.alpha_timer[k]
-            while now >= nd:
-                a *= shrink
-                nd += period
-            self.alpha[k] = a
-            self.next_decay[k] = nd
-        r = np.minimum(np.maximum(r, floor), line)
-        rate_out = r.tolist()
-        rem_out = rem.tolist()
-        bs_out = bs.tolist()
-        ba_out = ba.tolist()
-        ta_out = ta.tolist()
-        sent_out = sent.tolist()
-        for pos, k in enumerate(act):
-            self.rate[k] = rate_out[pos]
-            self.bytes_sent[k] = bs_out[pos]
-            self.b_acc[k] = ba_out[pos]
-            self.t_acc[k] = ta_out[pos]
-            self.t_ph[k] += 1
-            if self.target[k] > self.line[k]:
-                self.target[k] = self.line[k]
-            if self.finite[k]:
-                self.remaining[k] = rem_out[pos]
-            if self.is_job[k]:
-                self.objs[k].lifecycle.comm_sent += sent_out[pos]
-                if self.remaining[k] <= 0.0:
-                    self._complete(k, now, dt)
-            elif self.finite[k] and self.remaining[k] <= 0.0:
-                self.active[k] = False
-                self._n_active -= 1
-        return arrival
 
     # ------------------------------------------------------------------
     # Result assembly and write-back
@@ -1504,6 +1656,10 @@ class SenderBank:
         self, duration: float, steps: int, samples: _SampleBuffer
     ) -> DcqcnResult:
         sim = self.sim
+        fabric = self.fabric
+        fabric.restore()
+        if fabric.is_bottleneck:
+            sim.pfc_paused = fabric.paused[0]
         result = DcqcnResult(duration=duration)
         names = [obj.name for obj in self.objs]
         samples.flush(result, names, sim.telemetry)

@@ -151,6 +151,31 @@ class TestBottleneckSharing:
         )
 
 
+class TestConfigValidation:
+    def test_resume_threshold_needs_pause_threshold(self):
+        # PFC stays off without a pause threshold, so a resume
+        # threshold alone would be silently ignored.
+        with pytest.raises(ConfigError, match="pfc_pause_threshold"):
+            DcqcnFluidSimulator(pfc_resume_threshold=50e3)
+
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    @pytest.mark.parametrize(
+        "duration", [-1.0, float("nan"), float("inf"), -float("inf")]
+    )
+    def test_bad_duration_rejected(self, engine, duration):
+        sim = DcqcnFluidSimulator(capacity=gbps(50), engine=engine)
+        sim.add_sender("a", DcqcnParams(), _rng(1))
+        with pytest.raises(ConfigError, match="duration"):
+            sim.run(duration)
+
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_zero_duration_runs_empty(self, engine):
+        sim = DcqcnFluidSimulator(capacity=gbps(50), engine=engine)
+        sim.add_sender("a", DcqcnParams(), _rng(1))
+        result = sim.run(0.0)
+        assert len(result.rate_series["a"].values) == 0
+
+
 class TestCalibration:
     def test_weights_normalized_to_least_aggressive(self):
         weights = calibrate_timer_weights(

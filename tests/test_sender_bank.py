@@ -10,6 +10,7 @@ sample-grid alignment and the engine-selection plumbing.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cc.aimd import AimdFluidSimulator, AimdParams
 from repro.cc.dcqcn import (
@@ -21,6 +22,8 @@ from repro.cc.dcqcn import (
 )
 from repro.cc.sender_bank import SenderBank
 from repro.errors import ConfigError
+from repro.faults import InjectionSchedule, LinkFailure, PfcStorm, RateChange
+from repro.net.topology import Topology
 from repro.units import gbps, kib, mbps
 
 
@@ -137,9 +140,38 @@ class TestDcqcnEquivalence:
             results["vector"].queue_series.values,
         )
 
-    def test_many_senders_batched_path(self):
-        # 40 senders crosses BATCH_THRESHOLD, exercising the numpy
-        # batched tick kernel rather than the flat per-sender loop.
+    def test_pfc_pause_below_kmin_cuts_span(self):
+        # Two senders 2% over capacity grow an unmarked queue slowly
+        # (pause threshold below kmin), so the PFC pause begins inside a
+        # deterministic span and must cut it exactly there.
+        results = {}
+        for engine in ("scalar", "vector"):
+            sim = DcqcnFluidSimulator(
+                capacity=gbps(50),
+                dt=10e-6,
+                engine=engine,
+                pfc_pause_threshold=kib(60),
+                pfc_resume_threshold=kib(40),
+            )
+            for index in range(2):
+                sender = sim.add_sender(
+                    f"s{index}",
+                    DcqcnParams(),
+                    np.random.default_rng(60 + index),
+                )
+                sender.rate = sender.target_rate = gbps(25.5)
+            results[engine] = (sim, sim.run(0.01))
+        (sim_s, result_s), (sim_v, result_v) = results.values()
+        _assert_identical(result_s, result_v)
+        assert np.array_equal(
+            result_s.queue_series.values, result_v.queue_series.values
+        )
+        assert sim_s.pfc_pause_seconds > 0.0
+        assert sim_s.pfc_pause_seconds == sim_v.pfc_pause_seconds
+
+    def test_many_long_lived_senders_bit_identical(self):
+        # 40 senders sharing one bottleneck keep the queue above kmin,
+        # so most ticks run the per-tick kernel across the whole bank.
         results = {}
         for engine in ("scalar", "vector"):
             sim = DcqcnFluidSimulator(capacity=gbps(50), engine=engine)
@@ -166,6 +198,149 @@ class TestDcqcnEquivalence:
         assert SenderBank.build(sim) is None
         result = sim.run(0.002)  # runs via the scalar reference loop
         assert result.mean_rate("const") == pytest.approx(mbps(200))
+
+
+#: Simulated seconds per generated dumbbell; the property's cost knob.
+_PROPERTY_DURATION = 0.02
+
+#: Fault window slots on L1: one event per slot keeps windows disjoint.
+_FAULT_SLOT = _PROPERTY_DURATION / 5
+
+
+@st.composite
+def _fault_schedules(draw):
+    """``None`` or 1-3 disjoint RateChange/LinkFailure/PfcStorm on L1."""
+    slots = draw(st.lists(
+        st.integers(0, 4), min_size=0, max_size=3, unique=True
+    ))
+    if not slots:
+        return None
+    events = []
+    for slot in slots:
+        start = slot * _FAULT_SLOT + draw(st.floats(0.0, 0.4)) * _FAULT_SLOT
+        end = start + draw(st.floats(0.1, 0.6)) * _FAULT_SLOT
+        kind = draw(st.sampled_from(["rate", "failure", "storm"]))
+        if kind == "rate":
+            factor = draw(st.sampled_from([0.3, 0.7, 1.5]))
+            events.append(RateChange("L1", start, end, factor))
+        elif kind == "failure":
+            events.append(LinkFailure("L1", start, end))
+        else:
+            events.append(PfcStorm("L1", start, end))
+    return InjectionSchedule(events=tuple(events))
+
+
+@st.composite
+def _dumbbell_cases(draw):
+    """One generated single-bottleneck configuration."""
+    senders = draw(st.lists(
+        st.tuples(
+            st.booleans(),  # on-off job (True) or long-lived sender
+            st.sampled_from([50e-6, AGGRESSIVE_TIMER, DEFAULT_TIMER]),
+        ),
+        min_size=1, max_size=40,
+    ))
+    return {
+        "senders": senders,
+        "seed": draw(st.integers(0, 2**16)),
+        # PFC off, or a pause threshold below, above or well above kmin.
+        "pfc": draw(st.sampled_from([None, kib(60), kib(150), kib(300)])),
+        "faults": draw(_fault_schedules()),
+    }
+
+
+def _build_case(case, engine, topology=None):
+    """The case as a simulator; on ``topology`` every sender routes
+    across its one link ``L1``."""
+    kwargs = {}
+    if case["pfc"] is not None:
+        kwargs = {
+            "pfc_pause_threshold": case["pfc"],
+            "pfc_resume_threshold": case["pfc"] * 2 / 3,
+        }
+    sim = DcqcnFluidSimulator(
+        capacity=gbps(50), dt=10e-6, engine=engine,
+        faults=case["faults"], topology=topology, **kwargs,
+    )
+    route = ("L1",) if topology is not None else ()
+    rngs = []
+    for index, (job, timer) in enumerate(case["senders"]):
+        rng = np.random.default_rng(case["seed"] + index)
+        params = DcqcnParams(line_rate=gbps(50), timer=timer)
+        name = f"s{index:02d}"
+        if job:
+            sim.add_source(OnOffDcqcnJob(
+                name, params, rng,
+                compute_time=0.002 + 0.0005 * (index % 3),
+                comm_bytes=0.002 * gbps(50),
+                start_offset=index * 0.0003,
+            ), route=route)
+        else:
+            sim.add_sender(name, params, rng, route=route)
+        rngs.append(rng)
+    return sim, rngs
+
+
+class TestDumbbellProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(_dumbbell_cases())
+    def test_vector_matches_scalar_and_one_link_fabric(self, case):
+        runs = {}
+        for engine in ("scalar", "vector"):
+            sim, rngs = _build_case(case, engine)
+            runs[engine] = (sim, rngs, sim.run(_PROPERTY_DURATION))
+        sim_s, rngs_s, result_s = runs["scalar"]
+        sim_v, rngs_v, result_v = runs["vector"]
+        _assert_identical(result_s, result_v)
+        assert np.array_equal(
+            result_s.queue_series.times, result_v.queue_series.times
+        )
+        assert np.array_equal(
+            result_s.queue_series.values, result_v.queue_series.values
+        )
+        assert result_v.link_queue_series == {}
+        assert set(result_s.timelines) == set(result_v.timelines)
+        for name, timeline in result_s.timelines.items():
+            assert (
+                repr(timeline.__dict__)
+                == repr(result_v.timelines[name].__dict__)
+            )
+        for rng_s, rng_v in zip(rngs_s, rngs_v):
+            assert rng_s.bit_generator.state == rng_v.bit_generator.state
+        assert sim_s.pfc_pause_seconds == sim_v.pfc_pause_seconds
+        assert sim_s.pfc_paused == sim_v.pfc_paused
+        # The same case rebuilt as a one-link fabric.
+        topology = Topology.dumbbell(bottleneck_capacity=gbps(50))
+        sim_f, rngs_f = _build_case(case, "vector", topology)
+        result_f = sim_f.run(_PROPERTY_DURATION)
+        _assert_identical(result_v, result_f)
+        link_series = result_f.link_queue_series["L1"]
+        assert np.array_equal(
+            link_series.times, result_v.queue_series.times
+        )
+        assert np.array_equal(
+            link_series.values, result_v.queue_series.values
+        )
+        for rng_v, rng_f in zip(rngs_v, rngs_f):
+            assert rng_v.bit_generator.state == rng_f.bit_generator.state
+        assert sim_f.pfc_pause_seconds == sim_v.pfc_pause_seconds
+
+
+class TestOutOfRangeState:
+    def test_rate_above_line_falls_back_to_scalar(self):
+        # The vector kernel clamps rates only when a CNP or increase
+        # event moves them, so it admits in-range sender state only.
+        results = {}
+        for engine in ("scalar", "vector"):
+            sim = DcqcnFluidSimulator(capacity=gbps(50), engine=engine)
+            sender = sim.add_sender(
+                "a", DcqcnParams(), np.random.default_rng(7)
+            )
+            sender.rate = 2 * sender.params.line_rate
+            if engine == "vector":
+                assert SenderBank.build(sim) is None
+            results[engine] = sim.run(0.005)
+        _assert_identical(results["scalar"], results["vector"])
 
 
 class TestSampleGrid:
