@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..core.lifecycle import JobLifecycle, OnOffSource
 from ..core.timeline import JobTimeline
 from ..errors import ConfigError, SimulationError
@@ -30,13 +28,7 @@ from ..faults.runtime import (  # simlint: disable=ARCH001 - same inversion as a
 from ..sim.trace import TimeSeries
 from ..switches.queues import FluidQueue
 from ..units import gbps, kib, mbps
-from .sender_bank import (
-    LinkFabric,
-    activation_tick,
-    clamp_drain,
-    fold_traj,
-    sample_ticks,
-)
+from .sender_bank import LinkFabric, sample_ticks
 
 if TYPE_CHECKING:
     from ..net.topology import Topology
@@ -204,10 +196,7 @@ class AimdFluidSimulator:
     sender and job must then carry a ``route`` (a tuple of link names),
     each link runs its own drop-tail queue at ``buffer_bytes``, and a
     source backs off when *any* link on its route drops — the loss
-    analog of reacting to the most congested hop. AIMD has no span
-    fast-forward on a fabric: both engines run the same per-tick
-    reference loop (the model is loss-driven and deterministic, so
-    scalar/vector equivalence is structural).
+    analog of reacting to the most congested hop.
     """
 
     def __init__(
@@ -216,17 +205,11 @@ class AimdFluidSimulator:
         buffer_bytes: float = kib(512),
         dt: float = 10e-6,
         sample_interval: float = 250e-6,
-        engine: str = "vector",
         faults: Optional[InjectionSchedule] = None,
         topology: Optional["Topology"] = None,
     ) -> None:
         if dt <= 0 or sample_interval < dt:
             raise ConfigError("need dt > 0 and sample_interval >= dt")
-        if engine not in ("scalar", "vector"):
-            raise ConfigError(
-                f"engine must be 'scalar' or 'vector', got {engine!r}"
-            )
-        self.engine = engine
         self.capacity = capacity
         self.buffer_bytes = buffer_bytes
         self.queue = FluidQueue(capacity, max_occupancy=buffer_bytes)
@@ -242,7 +225,6 @@ class AimdFluidSimulator:
         self._jobs: List[OnOffAimdJob] = []
         self._sender_routes: List[Tuple[str, ...]] = []
         self._job_routes: List[Tuple[str, ...]] = []
-        self._chunk = 256
 
     def add_sender(
         self,
@@ -298,16 +280,7 @@ class AimdFluidSimulator:
         return route
 
     def run(self, duration: float) -> AimdResult:
-        """Simulate ``duration`` seconds; plain senders always backlogged.
-
-        With ``engine="vector"`` (the default) loss-free stretches are
-        advanced in one exact batch: AIMD has no randomness, so every
-        rate ramp, byte countdown and queue fold between events (burst
-        activation, burst completion, a drop) is a deterministic
-        sequential fold that ``np.cumsum`` reproduces bit-for-bit. The
-        dt-by-dt reference loop stays behind ``engine="scalar"``; both
-        produce identical traces and timelines.
-        """
+        """Simulate ``duration`` seconds; plain senders always backlogged."""
         if not self._senders and not self._jobs:
             raise SimulationError("add at least one sender before run()")
         self._install_fault_warps()
@@ -365,7 +338,7 @@ class AimdFluidSimulator:
                 job.install_warp(warp)
 
     def _run_fabric(self, duration: float) -> AimdResult:
-        """The multi-link per-tick loop (both engines; see class docs).
+        """The multi-link per-tick loop.
 
         Per tick: blocked links (failed, storming) silence every source
         routed across them — no arrivals, no grow/cut, rates held, jobs'
@@ -474,29 +447,14 @@ class AimdFluidSimulator:
         rows_v: List[List[float]],
         sources: List[object],
     ) -> None:
-        """The regular engine loop over ticks ``[start, end)``."""
-        if self.engine == "vector":
-            i = start
-            while i < end:
-                advanced = self._try_span(
-                    i, end, samples_every, rows_t, rows_v, sources
-                )
-                if advanced:
-                    i += advanced
-                    continue
-                self._step_once(i, sources)
-                i += 1
-                if i % samples_every == 0:
-                    rows_t.append(i * self.dt)
-                    rows_v.append([source.rate for source in sources])
-        else:
-            for step_index in range(start, end):
-                self._step_once(step_index, sources)
-                if (step_index + 1) % samples_every == 0:
-                    # Samples land on the sample_interval grid: the
-                    # state after tick k covers time (k+1) * dt.
-                    rows_t.append((step_index + 1) * self.dt)
-                    rows_v.append([source.rate for source in sources])
+        """The regular loop over ticks ``[start, end)``."""
+        for step_index in range(start, end):
+            self._step_once(step_index, sources)
+            if (step_index + 1) % samples_every == 0:
+                # Samples land on the sample_interval grid: the state
+                # after tick k covers time (k+1) * dt.
+                rows_t.append((step_index + 1) * self.dt)
+                rows_v.append([source.rate for source in sources])
 
     def _span_freeze(
         self,
@@ -509,8 +467,8 @@ class AimdFluidSimulator:
     ) -> None:
         """Failed-link ticks: all state holds; only sample rows appear.
 
-        A frozen span has no dynamics by definition, so both engines
-        share this closed form.
+        A frozen span has no dynamics by definition, so it has a closed
+        form.
         """
         wanted = sample_ticks(start, end, samples_every)
         if not len(wanted):
@@ -534,26 +492,14 @@ class AimdFluidSimulator:
         AIMD has no PFC model, so a storm degrades to a pause: no
         arrivals, no loss feedback, rates held.
         """
-        if end <= start:
-            return
-        if self.engine == "vector":
-            span = end - start
-            delta = (0.0 - self.queue.capacity) * self.dt
-            traj = clamp_drain(fold_traj(self.queue.occupancy, delta, span))
-            self.queue.occupancy = float(traj[span])
-            row = [source.rate for source in sources]
-            for g in sample_ticks(start, end, samples_every):
-                rows_t.append((g + 1) * self.dt)
-                rows_v.append(list(row))
-        else:
-            for step_index in range(start, end):
-                self.queue.step(0.0, self.dt)
-                if (step_index + 1) % samples_every == 0:
-                    rows_t.append((step_index + 1) * self.dt)
-                    rows_v.append([source.rate for source in sources])
+        for step_index in range(start, end):
+            self.queue.step(0.0, self.dt)
+            if (step_index + 1) % samples_every == 0:
+                rows_t.append((step_index + 1) * self.dt)
+                rows_v.append([source.rate for source in sources])
 
     def _step_once(self, step_index: int, sources: List[object]) -> None:
-        """One exact reference tick shared by both engines."""
+        """One tick of the single-bottleneck loop."""
         now = step_index * self.dt
         arrival = sum(s.rate for s in self._senders)
         for job in self._jobs:
@@ -568,123 +514,3 @@ class AimdFluidSimulator:
         else:
             for source in sources:
                 source.grow(self.dt)
-
-    def _try_span(
-        self,
-        i: int,
-        steps: int,
-        samples_every: int,
-        rows_t: List[float],
-        rows_v: List[List[float]],
-        sources: List[object],
-    ) -> int:
-        """Advance as many loss-free ticks as possible in one batch.
-
-        Returns the number of ticks committed (0 = fall back to one
-        scalar tick). Within the committed stretch every sender only
-        grows, so the rate trajectories are sequential folds clamped at
-        the line rate; arrivals are therefore nondecreasing, which
-        bounds the queue to a single clamp-at-empty episode and makes
-        the first overflow tick of the unclamped fold the first real
-        drop. The span ends strictly before the earliest burst
-        activation, burst completion or drop, which the per-tick
-        reference path then replays exactly.
-        """
-        dt = self.dt
-        queue = self.queue
-        H = min(steps - i, self._chunk)
-        for job in self._jobs:
-            if job._sender is None and not job.lifecycle.done:
-                gap = activation_tick(job._deadline, dt, lo=i) - i
-                if gap < H:
-                    H = gap
-        if H < 8:
-            return 0
-        # Exact rate trajectories: trajs[k][m] is source k's rate at the
-        # start of tick i+m (idle/done jobs carry None and send 0).
-        trajs: List[Optional[np.ndarray]] = []
-        job_folds: List[Optional[tuple]] = []
-        arrival = np.zeros(H)
-        e = H
-        for sender in self._senders:
-            params = sender.params
-            if sender.rate > params.line_rate:
-                return 0
-            traj = np.minimum(
-                fold_traj(sender.rate, params.increase_rate * dt, H),
-                params.line_rate,
-            )
-            arrival += traj[:H]
-            trajs.append(traj)
-        for job in self._jobs:
-            burst = job._sender
-            if burst is None:
-                trajs.append(None)
-                job_folds.append(None)
-                continue
-            params = burst.params
-            if burst.rate > params.line_rate:
-                return 0
-            traj = np.minimum(
-                fold_traj(burst.rate, params.increase_rate * dt, H),
-                params.line_rate,
-            )
-            sends = traj[:H] * dt
-            rems = np.cumsum(np.concatenate(([burst.remaining], -sends)))
-            # The burst completes at the first tick whose remaining
-            # budget no longer exceeds a full rate*dt quantum.
-            fin = np.nonzero(rems[:H] <= sends)[0]
-            if fin.size and fin[0] < e:
-                e = int(fin[0])
-            arrival += sends / dt
-            trajs.append(traj)
-            job_folds.append((sends, rems))
-        if e == 0:
-            return 0
-        delta = (arrival - queue.capacity) * dt
-        occs = np.cumsum(np.concatenate(([queue.occupancy], delta)))
-        below = np.nonzero(occs[1:] < 0.0)[0]
-        if below.size:
-            # Single clamp episode: pinned at empty until the (nondecreasing)
-            # net inflow turns positive, then the fold restarts from 0.0.
-            j = int(below[0])
-            pos = np.nonzero(delta[j:] > 0.0)[0]
-            k = j + int(pos[0]) if pos.size else H
-            occs[j + 1 : k + 1] = 0.0
-            if k < H:
-                occs[k + 1 :] = np.cumsum(delta[k:])
-        over = np.nonzero(occs[1:] > queue.max_occupancy)[0]
-        if over.size and over[0] < e:
-            e = int(over[0])
-        if e == 0:
-            return 0
-        # Commit: write back final states and emit the sample rows the
-        # scalar loop would have produced inside the stretch.
-        column = 0
-        for sender in self._senders:
-            sender.rate = float(trajs[column][e])
-            column += 1
-        for job, folds in zip(self._jobs, job_folds):
-            if folds is not None:
-                sends, rems = folds
-                burst = job._sender
-                burst.rate = float(trajs[column][e])
-                burst.remaining = float(rems[e])
-                lifecycle = job.lifecycle
-                lifecycle.comm_sent = float(
-                    np.cumsum(
-                        np.concatenate(([lifecycle.comm_sent], sends[:e]))
-                    )[-1]
-                )
-            column += 1
-        queue.occupancy = float(occs[e])
-        for g in sample_ticks(i, i + e, samples_every):
-            rows_t.append((g + 1) * dt)
-            rows_v.append([
-                0.0 if traj is None else float(traj[g - i + 1])
-                for traj in trajs
-            ])
-        self._chunk = (
-            min(self._chunk * 2, 8192) if e == H else max(16, 2 * e)
-        )
-        return e

@@ -177,7 +177,7 @@ class UniformChunks:
 
 
 # ---------------------------------------------------------------------------
-# Exact fold helpers (shared with the AIMD vector engine)
+# Exact fold helpers
 # ---------------------------------------------------------------------------
 
 def fold_last(x0: float, delta: float, n: int) -> float:
@@ -215,15 +215,15 @@ def clamp_drain(traj: np.ndarray) -> np.ndarray:
     return traj
 
 
-def activation_tick(deadline: float, dt: float, lo: int = 0) -> int:
-    """First tick index ``j >= lo`` with ``j*dt + dt >= deadline``.
+def activation_tick(deadline: float, dt: float) -> int:
+    """First tick index ``j >= 0`` with ``j*dt + dt >= deadline``.
 
     This is the exact float predicate :class:`OnOffSource` evaluates, so
     the fast-forwarded clock lands on the same activation tick as the
     dt-by-dt loop. The analytic estimate only seeds a short upward scan.
     """
     est = int(math.ceil(deadline / dt)) - (SPAN_MARGIN + 1)
-    j = est if est > lo else lo
+    j = est if est > 0 else 0
     while j * dt + dt < deadline:
         j += 1
     return j

@@ -147,21 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the on-disk result cache (always execute)",
     )
-    batch_group = run.add_mutually_exclusive_group()
-    batch_group.add_argument(
-        "--batch",
-        dest="batch",
-        action="store_true",
-        default=None,
-        help="force batched grid execution of compatible run specs "
-        "(bit-identical to per-spec runs)",
-    )
-    batch_group.add_argument(
+    run.add_argument(
         "--no-batch",
-        dest="batch",
-        action="store_false",
-        help="disable batched grid execution even where the driver "
-        "requests it",
+        action="store_true",
+        help="run every spec on its own instead of stacking compatible "
+        "fluid specs into batched grid runs (same results, slower)",
     )
 
     cache = subparsers.add_parser(
@@ -231,14 +221,14 @@ def _run_artifact(
     runs_dir: str,
     jobs: int = 1,
     use_cache: bool = True,
-    batch_override: Optional[bool] = None,
+    batch: bool = True,
 ) -> None:
     runner = EXPERIMENTS[name][1]
     config = RunnerConfig(
         jobs=jobs,
         cache=use_cache,
         cache_dir=Path(runs_dir) / "cache",
-        batch_override=batch_override,
+        batch=batch,
     )
     if not record:
         with using(config):
@@ -279,18 +269,16 @@ def main(argv: list[str] | None = None) -> int:
         record = not args.no_record
         jobs = max(1, args.jobs)
         use_cache = not args.no_cache
-        batch_override = args.batch
+        batch = not args.no_batch
         if args.artifact == "all":
             for name in sorted(EXPERIMENTS):
                 print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
                 _run_artifact(
-                    name, record, runs_dir, jobs, use_cache,
-                    batch_override,
+                    name, record, runs_dir, jobs, use_cache, batch
                 )
             return 0
         _run_artifact(
-            args.artifact, record, runs_dir, jobs, use_cache,
-            batch_override,
+            args.artifact, record, runs_dir, jobs, use_cache, batch
         )
         return 0
 

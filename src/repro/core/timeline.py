@@ -1,8 +1,8 @@
 """The canonical job timeline: one schema for every fidelity tier.
 
 Every simulator in the library — the exact phase-level model, the
-microsecond DCQCN fluid machine, the AIMD baseline, the cheap engine
-backend and the cluster simulation — produces the same observable: a
+microsecond DCQCN fluid machine, the AIMD baseline and the cluster
+simulation — produces the same observable: a
 sequence of completed training iterations, each with a start, a
 communication start and an end. This module is that observable's single
 home. :class:`IterationSample` is one completed iteration;

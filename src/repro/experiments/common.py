@@ -112,7 +112,6 @@ def run_jobs(
             )
         ],
         telemetry=telemetry,
-        batch=True,
     )
     return result.phase
 

@@ -256,7 +256,7 @@ def run(
                     ).replace(faults=faults)
                     grid.append((name, magnitude, duration, scenario))
                     specs.append(spec)
-    results = dict(zip(grid, run_many(specs, batch=True)))
+    results = dict(zip(grid, run_many(specs)))
 
     points: List[RobustnessPoint] = []
     for name, jobs in sorted(placements().items()):

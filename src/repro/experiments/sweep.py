@@ -166,8 +166,7 @@ def run(
 ) -> List[SweepPoint]:
     """Sweep communication fraction and sample pair compatibility."""
     results = run_many(
-        point_specs(fractions, pairs_per_point, same_period, seed),
-        batch=True,
+        point_specs(fractions, pairs_per_point, same_period, seed)
     )
     return [
         SweepPoint(
@@ -207,7 +206,7 @@ def fluid_grid_specs(
     """One fluid spec per replication seed: a fair/unfair DCQCN pair.
 
     Every spec shares the default ``dt`` and the given duration, so the
-    whole grid is one batchable group for ``run_many(batch=True)`` —
+    whole grid is one batchable group for :func:`run_many` —
     the stacked execution is bit-identical to running each spec alone.
     """
     def lineup(name: str, timer_j1: float) -> ScenarioSpec:
@@ -242,13 +241,11 @@ def fluid_grid(
 ) -> List[FluidGridPoint]:
     """Validate the sweep's payoff direction on the DCQCN fluid tier.
 
-    Runs a seeds-replicated fair/unfair grid through
-    ``run_many(batch=True)`` and reports the aggressive sender's
+    Runs a seeds-replicated fair/unfair grid as one batched
+    :func:`run_many` call and reports the aggressive sender's
     bandwidth-share gain per seed.
     """
-    results = run_many(
-        fluid_grid_specs(seeds, duration, seed), batch=True
-    )
+    results = run_many(fluid_grid_specs(seeds, duration, seed))
     points: List[FluidGridPoint] = []
     for replication, result in zip(seeds, results):
         shares = {}

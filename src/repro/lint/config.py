@@ -42,13 +42,7 @@ DEFAULT_LAYERS: Tuple[Tuple[str, ...], ...] = (
 DEFAULT_CROSS_CUTTING: Tuple[str, ...] = ("telemetry", "io")
 
 #: Substream templates shared across components on purpose.
-DEFAULT_SHARED_STREAMS: Mapping[str, str] = {
-    "job:{}": (
-        "cross-tier bit-equivalence: the engine backend must draw the "
-        "same per-job substream as PhaseLevelSimulator so fidelity "
-        "tiers replay identical randomness"
-    ),
-}
+DEFAULT_SHARED_STREAMS: Mapping[str, str] = {}
 
 #: Substream name prefixes owned by one component.
 DEFAULT_STREAM_OWNERS: Mapping[str, str] = {

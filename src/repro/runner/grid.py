@@ -1,6 +1,7 @@
 """The batched grid tier: stack compatible fluid specs into one run.
 
-``run_many(..., batch=True)`` partitions its cache misses into groups
+:func:`~repro.runner.parallel.run_many` (with the default
+``RunnerConfig.batch``) partitions its cache misses into groups
 that one :class:`repro.cc.grid_bank.GridBank` can execute together —
 same backend, same ``dt``, same duration, single-bottleneck topology —
 and simulates each group as one structure-of-arrays run. Per-spec
@@ -55,7 +56,7 @@ def batchable_spec(spec: RunSpec) -> bool:
     """Whether ``spec`` is a candidate for grid batching.
 
     This is the cheap declarative screen; the engine-level authority is
-    :func:`repro.cc.grid_bank.grid_compatible` on the built simulator,
+    :meth:`repro.cc.grid_bank.GridBank.build` on the built simulators,
     and :func:`execute_batched` still falls back when that rejects.
     """
     if spec.backend != "fluid":
@@ -119,7 +120,7 @@ def execute_batched(
     safe, just slower).
     """
     from ..cc.dcqcn import DcqcnParams
-    from ..cc.grid_bank import GridBank, grid_compatible
+    from ..cc.grid_bank import GridBank
 
     specs = list(specs)
     sessions = [
@@ -127,10 +128,7 @@ def execute_batched(
     ]
     contexts = []
     for spec, session in zip(specs, sessions):
-        _reject_fabric_faults(
-            spec, "fluid",
-            "give each sender a route (SenderSpec.route)",
-        )
+        _reject_fabric_faults(spec)
         capacity = spec.capacity or gbps(50)
         contexts.append({
             "capacity": capacity,
@@ -155,8 +153,6 @@ def execute_batched(
                     spec, scenario, ctx["params"], ctx["streams"],
                     ctx["capacity"],
                 )
-            if not grid_compatible(sim):
-                return None
             entries.append((i, scenario, sim, jobs))
         grid = GridBank.build([entry[2] for entry in entries])
         if grid is None:

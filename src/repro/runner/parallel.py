@@ -47,19 +47,18 @@ class RunnerConfig:
     """Ambient defaults for :func:`run_many`.
 
     The CLI installs one of these via :func:`using` so experiment
-    drivers pick up ``--jobs`` / ``--no-cache`` without plumbing the
-    flags through every function signature.
+    drivers pick up ``--jobs`` / ``--no-cache`` / ``--no-batch``
+    without plumbing the flags through every function signature.
     """
 
     jobs: int = 1
     cache: bool = False
     cache_dir: Path = field(default_factory=_default_cache_dir)
-    #: Default for ``run_many(batch=None)``: drivers that want grid
-    #: batching opt in per call site, so the ambient default stays off.
-    batch: bool = False
-    #: CLI override (``--batch`` / ``--no-batch``): when set it wins
-    #: over both the ambient default and the per-call argument.
-    batch_override: Optional[bool] = None
+    #: Stack compatible cache-miss specs into batched grid runs
+    #: (:mod:`repro.runner.grid`) before the per-spec path. Batched
+    #: results are bit-identical to per-spec execution, so this only
+    #: moves wall-clock; the CLI's ``--no-batch`` turns it off.
+    batch: bool = True
 
 
 _config = RunnerConfig()
@@ -114,7 +113,6 @@ def run_many(
     cache: Optional[bool] = None,
     cache_dir: Optional[Path] = None,
     telemetry: Optional[Telemetry] = None,
-    batch: Optional[bool] = None,
 ) -> List[RunResult]:
     """Execute ``specs`` and return their results in spec order.
 
@@ -128,12 +126,9 @@ def run_many(
         cache_dir: Cache root; ``None`` takes the ambient config.
         telemetry: Session to merge worker telemetry into; ``None``
             resolves to the ambient session.
-        batch: Whether to stack compatible cache-miss specs into
-            batched grid runs (:mod:`repro.runner.grid`) before
-            falling back to the pool; ``None`` takes the ambient
-            config, and ``RunnerConfig.batch_override`` (the CLI's
-            ``--batch``/``--no-batch``) wins over both. Batched
-            results are bit-identical to per-spec execution.
+
+    Compatible cache misses run as batched grid runs when the ambient
+    ``RunnerConfig.batch`` is on (the default).
 
     Specs that fail to pickle (ad-hoc gate closures) silently fall back
     to in-process execution — same results, no fan-out.
@@ -142,9 +137,6 @@ def run_many(
     jobs = config.jobs if jobs is None else jobs
     cache_enabled = config.cache if cache is None else cache
     root = Path(cache_dir) if cache_dir is not None else config.cache_dir
-    batch_enabled = config.batch if batch is None else batch
-    if config.batch_override is not None:
-        batch_enabled = config.batch_override
     session = resolve(telemetry)
 
     specs = list(specs)
@@ -175,7 +167,7 @@ def run_many(
     # the per-spec path below — results are bit-identical either way,
     # so batching is purely a wall-clock decision.
     batched: set = set()
-    if batch_enabled and len(pending) >= 2:
+    if config.batch and len(pending) >= 2:
         from . import grid as _grid
 
         for group in _grid.plan_groups(

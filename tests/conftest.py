@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import numpy as np
 import pytest
 
 from repro.cc.fair import FairSharing
@@ -17,6 +18,23 @@ CAPACITY = gbps(42)
 def _isolated_runs_dir(tmp_path, monkeypatch):
     """Keep CLI-recorded runs out of the working tree during tests."""
     monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+
+
+@pytest.fixture
+def rate_window():
+    """``window(result, start, end)``: per rate series of ``result``, the
+    sample at ``start`` (the state entering a fault window) and the
+    samples at ``start < t <= end``."""
+    def window(result, start, end):
+        rows = {}
+        for name, series in result.rate_series.items():
+            times = series.times
+            [entry] = series.values[np.isclose(times, start)]
+            inside = (times > start + 1e-9) & (times <= end + 1e-9)
+            rows[name] = (entry, series.values[inside])
+        return rows
+
+    return window
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ class TestParser:
         assert args.artifact == "figure3"
         assert args.jobs == 1
         assert args.no_cache is False
+        assert args.no_batch is False
 
     def test_run_jobs_and_no_cache(self):
         args = build_parser().parse_args(
@@ -23,6 +24,12 @@ class TestParser:
         )
         assert args.jobs == 8
         assert args.no_cache is True
+
+    def test_no_batch_is_the_only_batch_switch(self):
+        args = build_parser().parse_args(["run", "sweep", "--no-batch"])
+        assert args.no_batch is True
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "sweep", "--batch"])
 
     def test_cache_command(self):
         args = build_parser().parse_args(["cache", "--clear"])

@@ -32,7 +32,15 @@ from repro.faults import (
     capacity_windows,
     single_link,
 )
-from repro.runner import RunSpec, ScenarioSpec, SenderSpec, run_many
+from repro.runner import (
+    RunnerConfig,
+    RunSpec,
+    ScenarioSpec,
+    SenderSpec,
+    run_many,
+    using,
+)
+from repro.telemetry.session import Telemetry, use
 from repro.units import gbps, ms
 from repro.workloads.job import JobSpec
 
@@ -300,10 +308,26 @@ class TestSeededDeterminism:
 
     @pytest.mark.parametrize("make", [_fluid_spec, _phase_spec])
     def test_worker_fanout_byte_identical(self, make):
+        # Batching off on both sides, so jobs=4 goes through the
+        # process pool and jobs=1 through the in-process loop.
         specs = [make() for _ in range(4)]
-        serial = run_many(specs, jobs=1, cache=False)
-        parallel = run_many(specs, jobs=4, cache=False)
+        session = Telemetry(name="fanout-test")
+        with use(session), using(RunnerConfig(batch=False)):
+            serial = run_many(specs, jobs=1, cache=False)
+            parallel = run_many(specs, jobs=4, cache=False)
+        assert int(session.counter("runner.batched").value) == 0
         for left, right in zip(serial, parallel):
+            assert _fingerprint(left) == _fingerprint(right)
+
+    def test_batched_matches_worker_fanout(self):
+        specs = [_fluid_spec() for _ in range(4)]
+        session = Telemetry(name="fanout-test")
+        with use(session):
+            batched = run_many(specs, jobs=4, cache=False)
+        assert int(session.counter("runner.batched").value) == 4
+        with using(RunnerConfig(batch=False)):
+            pooled = run_many(specs, jobs=4, cache=False)
+        for left, right in zip(batched, pooled):
             assert _fingerprint(left) == _fingerprint(right)
 
     def test_cache_round_trip_replays_faulted_run(self, tmp_path):

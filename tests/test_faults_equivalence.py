@@ -1,11 +1,16 @@
 """Cross-engine bit-equivalence of the fluid tiers *under* injection.
 
-PR 4/5 pinned the vector engines as bit-identical to the scalar
-reference on clean runs. Fault windows add three new code paths —
-normal windows at a scaled capacity, freeze spans and storm spans, plus
-the span fast-forward truncating at every window boundary — and each
-must preserve the guarantee: same sampled series, same timelines, and
-the same number of random draws (so downstream randomness is unshifted).
+The DCQCN vector engine is bit-identical to the scalar reference on
+clean runs. Fault windows add three new code paths — normal windows at
+a scaled capacity, freeze spans and storm spans, plus the span
+fast-forward truncating at every window boundary — and each must
+preserve the guarantee: same sampled series, same timelines, and the
+same number of random draws (so downstream randomness is unshifted).
+
+AIMD has no fast path. Its single-bottleneck loop must equal its fabric
+loop on a one-link dumbbell, and its fault windows must do what they
+model: a failed link holds every rate, a storm drains the queue with no
+arrivals, and the base capacity comes back after the run.
 """
 
 import numpy as np
@@ -28,6 +33,7 @@ from repro.faults import (
     RateChange,
     Straggler,
 )
+from repro.net.topology import Topology
 from repro.units import gbps, mbps
 
 #: Mid-run perturbations exercising every window mode, with boundaries
@@ -97,10 +103,16 @@ def _dcqcn(engine, faults):
     return sim, jobs, rngs
 
 
-def _aimd(engine, faults):
+def _aimd(faults, one_link=False):
+    """Three AIMD jobs on the bottleneck; ``one_link`` runs them on the
+    fabric loop over a one-link dumbbell instead."""
+    topology, route = None, ()
+    if one_link:
+        topology = Topology.dumbbell(bottleneck_capacity=mbps(400))
+        route = ("L1",)
     sim = AimdFluidSimulator(
         capacity=mbps(400), dt=1e-3, sample_interval=5e-3,
-        engine=engine, faults=faults,
+        faults=faults, topology=topology,
     )
     jobs = []
     for index in range(3):
@@ -110,8 +122,20 @@ def _aimd(engine, faults):
             compute_time=0.11,
             comm_bytes=0.13 * mbps(400),
             start_offset=index * 0.03,
+            route=route,
         ))
     return sim, jobs
+
+
+def _aimd_busy(faults):
+    """A backlogged sender and one job whose first burst starts at
+    0.11 s: the bottleneck is full from then on."""
+    sim = AimdFluidSimulator(
+        capacity=mbps(400), dt=1e-3, sample_interval=5e-3, faults=faults,
+    )
+    sim.add_sender("bg")
+    sim.add_job("J1", compute_time=0.11, comm_bytes=0.13 * mbps(400))
+    return sim
 
 
 class TestDcqcnFaultEquivalence:
@@ -156,21 +180,64 @@ class TestDcqcnFaultEquivalence:
 
 
 class TestAimdFaultEquivalence:
+    """Single-bottleneck loop == fabric loop on a one-link dumbbell."""
+
     @pytest.mark.parametrize(
         "name", ["rate-spike", "link-failure", "pfc-storm", "job-warps"]
     )
     def test_bit_identical_under_faults(self, name):
         faults = SCHEDULES[name]
-        sim_s, jobs_s = _aimd("scalar", faults)
-        sim_v, jobs_v = _aimd("vector", faults)
-        result_s = sim_s.run(4.0)
-        result_v = sim_v.run(4.0)
-        _series_equal(result_s, result_v)
-        for job_s, job_v in zip(jobs_s, jobs_v):
+        sim_d, jobs_d = _aimd(faults)
+        sim_f, jobs_f = _aimd(faults, one_link=True)
+        result_d = sim_d.run(4.0)
+        result_f = sim_f.run(4.0)
+        _series_equal(result_d, result_f)
+        for job_d, job_f in zip(jobs_d, jobs_f):
             assert (
-                repr(job_s.timeline.__dict__)
-                == repr(job_v.timeline.__dict__)
+                repr(job_d.timeline.__dict__)
+                == repr(job_f.timeline.__dict__)
             )
+
+
+class TestAimdFaultBehaviour:
+    def test_failure_holds_rates(self, rate_window):
+        faults = InjectionSchedule(events=(LinkFailure("L1", 0.15, 0.2),))
+        faulted = rate_window(_aimd_busy(faults).run(0.3), 0.15, 0.2)
+        clean = rate_window(_aimd_busy(None).run(0.3), 0.15, 0.2)
+        for name, (entry, inside) in faulted.items():
+            assert len(inside) == 10
+            assert (inside == entry).all(), name
+            # Without the failure the same samples move.
+            assert not (clean[name][1] == entry).all(), name
+
+    def test_storm_drains_queue_without_arrivals(self, rate_window):
+        faults = InjectionSchedule(events=(PfcStorm("L1", 0.15, 0.2),))
+        entering = _aimd_busy(faults)
+        entering.run(0.15)
+        start = entering.queue.occupancy
+        assert start > 0
+        per_tick = mbps(400) * 1e-3  # capacity * dt
+        for ticks in (1, 3, 10):
+            sim = _aimd_busy(faults)
+            sim.run(0.15 + ticks * 1e-3)
+            assert sim.queue.occupancy == pytest.approx(
+                max(0.0, start - ticks * per_tick)
+            )
+        rows = rate_window(_aimd_busy(faults).run(0.3), 0.15, 0.2)
+        for name, (entry, inside) in rows.items():
+            assert (inside == entry).all(), name
+
+    def test_capacity_restored_after_run(self):
+        faults = InjectionSchedule(events=(
+            RateChange("L1", 0.05, 0.5, 0.3),
+        ))
+        # One run ends inside the window, one after it.
+        for duration in (0.2, 0.6):
+            sim = _aimd_busy(faults)
+            base = sim.capacity
+            sim.run(duration)
+            assert sim.capacity == base
+            assert sim.queue.capacity == base
 
 
 class TestFaultedVsCleanDiffer:

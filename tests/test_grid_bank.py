@@ -8,8 +8,9 @@ The metamorphic suite below checks that over randomized grids (mixed
 seeds x timers x fault schedules) and over the batch sizes that stress
 the lane machinery: 1 (degenerate), 2 (minimal), odd, and a wide 64.
 
-The runner half pins the integration contract: ``run_many(batch=True)``
-is byte-identical to ``batch=False`` (results *and* cache entries), a
+The runner half pins the integration contract: batched ``run_many``
+(the default) is byte-identical to ``RunnerConfig(batch=False)``
+(results *and* cache entries), a
 fully cached grid never touches the process pool, and the grouping
 screen only admits specs the bank can actually represent.
 """
@@ -36,11 +37,13 @@ from repro.faults import (
     Straggler,
 )
 from repro.runner import (
+    RunnerConfig,
     RunSpec,
     ScenarioSpec,
     SenderSpec,
     derive_seed,
     run_many,
+    using,
 )
 from repro.runner.grid import (
     DEFAULT_DT,
@@ -264,14 +267,20 @@ def canonical(results):
     )
 
 
+def run_unbatched(specs, **kwargs):
+    """The per-spec reference path: ``run_many`` with batching off."""
+    with using(RunnerConfig(batch=False)):
+        return run_many(specs, **kwargs)
+
+
 class TestRunnerGridTier:
-    """run_many(batch=True) == run_many(batch=False), byte for byte."""
+    """Batched run_many == unbatched run_many, byte for byte."""
 
     @pytest.mark.parametrize("ragged", [False, True])
     def test_batched_matches_per_spec(self, ragged):
         specs = fluid_specs(ragged=ragged)
-        batched = run_many(specs, batch=True, cache=False)
-        solo = run_many(specs, batch=False, cache=False)
+        batched = run_many(specs, cache=False)
+        solo = run_unbatched(specs, cache=False)
         assert canonical(batched) == canonical(solo)
 
     def test_batched_telemetry_matches_per_spec(self):
@@ -279,8 +288,8 @@ class TestRunnerGridTier:
 
         def run(batch):
             session = Telemetry(name="grid-test")
-            with use(session):
-                run_many(specs, batch=batch, cache=False)
+            with use(session), using(RunnerConfig(batch=batch)):
+                run_many(specs, cache=False)
             return session
 
         with_grid, without = run(True), run(False)
@@ -296,10 +305,8 @@ class TestRunnerGridTier:
 
     def test_cache_entries_byte_identical_across_paths(self, tmp_path):
         specs = fluid_specs(n=2)
-        run_many(specs, batch=True, cache=True,
-                 cache_dir=tmp_path / "a")
-        run_many(specs, batch=False, cache=True,
-                 cache_dir=tmp_path / "b")
+        run_many(specs, cache=True, cache_dir=tmp_path / "a")
+        run_unbatched(specs, cache=True, cache_dir=tmp_path / "b")
         files_a = sorted(
             p.relative_to(tmp_path / "a")
             for p in (tmp_path / "a").rglob("*") if p.is_file()
@@ -317,10 +324,8 @@ class TestRunnerGridTier:
 
     def test_cache_round_trip(self, tmp_path):
         specs = fluid_specs(n=3)
-        first = run_many(specs, batch=True, cache=True,
-                         cache_dir=tmp_path)
-        second = run_many(specs, batch=True, cache=True,
-                          cache_dir=tmp_path)
+        first = run_many(specs, cache=True, cache_dir=tmp_path)
+        second = run_many(specs, cache=True, cache_dir=tmp_path)
         assert canonical(first) == canonical(second)
 
     def test_fully_cached_grid_never_opens_pool(
@@ -330,7 +335,7 @@ class TestRunnerGridTier:
         from repro.runner import parallel
 
         specs = fluid_specs(n=3)
-        run_many(specs, batch=True, cache=True, cache_dir=tmp_path)
+        run_many(specs, cache=True, cache_dir=tmp_path)
 
         class PoolBomb:
             def __init__(self, *args, **kwargs):
@@ -342,20 +347,18 @@ class TestRunnerGridTier:
             parallel, "ProcessPoolExecutor", PoolBomb
         )
         replayed = run_many(
-            specs, jobs=4, batch=True, cache=True, cache_dir=tmp_path
+            specs, jobs=4, cache=True, cache_dir=tmp_path
         )
         assert canonical(replayed) == canonical(
-            run_many(specs, batch=False, cache=False)
+            run_unbatched(specs, cache=False)
         )
 
     def test_batched_specs_are_cached_for_later_hits(self, tmp_path):
         specs = fluid_specs(n=2)
         session = Telemetry(name="grid-test")
         with use(session):
-            run_many(specs, batch=True, cache=True,
-                     cache_dir=tmp_path)
-            run_many(specs, batch=True, cache=True,
-                     cache_dir=tmp_path)
+            run_many(specs, cache=True, cache_dir=tmp_path)
+            run_many(specs, cache=True, cache_dir=tmp_path)
         assert int(session.counter("runner.cache.hits").value) == 2
         assert int(session.counter("runner.batched").value) == 2
 

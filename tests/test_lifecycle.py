@@ -288,18 +288,6 @@ def phase_run(n_iterations=3):
     return execute(spec)
 
 
-def engine_run(n_iterations=3):
-    spec = RunSpec(
-        backend="engine",
-        seed=0,
-        jobs=(JobSpec("J1", ms(10), ms(5) * CAP),),
-        policy=FairSharing(),
-        n_iterations=n_iterations,
-        capacity=CAP,
-    )
-    return execute(spec)
-
-
 def fluid_run():
     spec = RunSpec(
         backend="fluid",
@@ -378,9 +366,6 @@ class TestSkipSemanticsAcrossTiers:
     def test_phase_backend(self):
         self.check(phase_run().timelines()["J1"])
 
-    def test_engine_backend(self):
-        self.check(engine_run().timelines()["J1"])
-
     def test_fluid_backend(self):
         self.check(fluid_run().timelines()["J1"])
 
@@ -416,25 +401,6 @@ class TestAimdOnOffJobs:
         assert "J1" in result.timelines
         assert "bg" not in result.timelines
         assert result.mean_rate("bg") > 0
-
-    def test_timelines_identical_across_engines(self):
-        # The vectorized span engine must reproduce the scalar loop's
-        # lifecycle clockwork exactly: byte-identical timelines.
-        timelines = {}
-        for engine in ("scalar", "vector"):
-            sim = AimdFluidSimulator(
-                capacity=gbps(50), dt=20e-6, engine=engine
-            )
-            sim.add_sender("bg")
-            sim.add_job(
-                "J1", compute_time=0.002, comm_bytes=gbps(50) * 0.001
-            )
-            timelines[engine] = sim.run(0.1).timeline("J1")
-        assert len(timelines["scalar"]) >= 2
-        assert (
-            repr(timelines["scalar"].__dict__)
-            == repr(timelines["vector"].__dict__)
-        )
 
     def test_cluster_simulation_reports_timelines(self):
         topology = Topology.leaf_spine(
@@ -491,19 +457,6 @@ class TestStarvedJobsAcrossTiers:
         )
         self.check_empty(execute(spec).timelines()["J1"])
 
-    def test_engine_backend(self):
-        spec = RunSpec(
-            backend="engine",
-            seed=0,
-            jobs=(JobSpec("J1", ms(10), ms(5) * CAP),),
-            policy=FairSharing(),
-            n_iterations=3,
-            capacity=CAP,
-            until=0.5,
-            faults=STARVE,
-        )
-        self.check_empty(execute(spec).timelines()["J1"])
-
     @pytest.mark.parametrize("engine", ["scalar", "vector"])
     def test_fluid_backend(self, engine):
         spec = RunSpec(
@@ -529,14 +482,21 @@ class TestStarvedJobsAcrossTiers:
         )
         self.check_empty(execute(spec).timelines()["J1"])
 
-    @pytest.mark.parametrize("engine", ["scalar", "vector"])
-    def test_aimd_simulator(self, engine):
+    @pytest.mark.parametrize("loop", ["scalar", "fabric"])
+    def test_aimd_simulator(self, loop):
+        # "scalar": the single-queue reference loop; "fabric": the same
+        # job routed over the one-link dumbbell topology.
+        topology, route = None, ()
+        if loop == "fabric":
+            topology = Topology.dumbbell(bottleneck_capacity=gbps(50))
+            route = ("L1",)
         sim = AimdFluidSimulator(
-            capacity=gbps(50), dt=20e-6, engine=engine, faults=STARVE
+            capacity=gbps(50), dt=20e-6, faults=STARVE, topology=topology
         )
         sim.add_job(
             "J1", compute_time=0.002, comm_bytes=gbps(50) * 0.001,
             params=AimdParams(line_rate=gbps(50), min_rate=gbps(10)),
+            route=route,
         )
         result = sim.run(0.05)
         self.check_empty(result.timeline("J1"))

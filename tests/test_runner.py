@@ -67,6 +67,26 @@ def small_phase_specs(n_iterations=30, seed=0):
     ]
 
 
+def cluster_fabric_spec(faults=None):
+    """The Figure 2 pair placed across pods of a k=4 fat tree."""
+    j1, j2 = figure2_vgg19_pair(jitter=0.02)
+    return RunSpec(
+        backend="cluster",
+        seed=11,
+        policy=FairSharing(),
+        topology=Topology.fat_tree(4),
+        n_iterations=8,
+        options=(
+            ("placements", (
+                (j1, ("h0_0_0", "h1_0_0")),
+                (j2, ("h0_0_1", "h1_0_1")),
+            )),
+            ("warmup_iterations", 1),
+        ),
+        faults=faults,
+    )
+
+
 def canonical(results):
     """Canonical JSON of results — the byte-identity yardstick."""
     return json.dumps(
@@ -124,8 +144,9 @@ class TestContentHash:
 class TestRegistry:
     def test_builtins_registered(self):
         names = backend_names()
-        for name in ("phase", "fluid", "engine", "cluster"):
+        for name in ("phase", "fluid", "cluster", "service"):
             assert name in names
+        assert "engine" not in names
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError, match="unknown backend"):
@@ -165,21 +186,6 @@ class TestPhaseBackend:
         for job in spec.jobs:
             assert via_runner.iteration_times(job.job_id).tolist() == (
                 direct.iteration_times(job.job_id).tolist()
-            )
-
-
-class TestEngineBackend:
-    def test_agrees_with_phase_on_fair_dumbbell(self):
-        spec = small_phase_specs()[0]
-        phase = run_one(spec, cache=False).phase
-        engine = run_one(
-            spec.replace(backend="engine"), cache=False
-        ).phase
-        for job in spec.jobs:
-            assert engine.mean_iteration_time(job.job_id) == (
-                pytest.approx(
-                    phase.mean_iteration_time(job.job_id), rel=1e-12
-                )
             )
 
 
@@ -224,27 +230,15 @@ class TestTimelineSchema:
             rebuilt = io.timeline_from_dict(io.timeline_to_dict(timeline))
             assert rebuilt.to_rows() == timeline.to_rows()
 
-    def test_phase_fluid_engine_share_schema(self):
+    def test_phase_fluid_cluster_share_schema(self):
         spec = small_phase_specs(n_iterations=5)[0]
         results = {
             "phase": run_one(spec, cache=False),
-            "engine": run_one(
-                spec.replace(backend="engine"), cache=False
-            ),
             "fluid": run_one(self.fluid_spec(), cache=False),
+            "cluster": run_one(cluster_fabric_spec(), cache=False),
         }
         for result in results.values():
             self.check_schema(result.timelines())
-
-    def test_phase_and_engine_agree_structurally(self):
-        spec = small_phase_specs(n_iterations=5)[0]
-        phase = run_one(spec, cache=False).timelines()
-        engine = run_one(
-            spec.replace(backend="engine"), cache=False
-        ).timelines()
-        assert sorted(phase) == sorted(engine)
-        for job_id in phase:
-            assert len(phase[job_id]) == len(engine[job_id])
 
     def test_timelines_requires_scenario_when_ambiguous(self):
         spec = self.fluid_spec()
@@ -386,6 +380,7 @@ class TestRunnerConfig:
         config = current_config()
         assert config.jobs == 1
         assert config.cache is False
+        assert config.batch is True
 
     def test_using_installs_and_restores(self, tmp_path):
         config = RunnerConfig(jobs=3, cache=True, cache_dir=tmp_path)
@@ -459,24 +454,6 @@ class TestFabricBackends:
             faults=faults,
         )
 
-    def _engine_fabric_spec(self, faults=None, n_iterations=8):
-        j1, j2 = figure2_vgg19_pair(jitter=0.02)
-        return RunSpec(
-            backend="engine",
-            seed=11,
-            jobs=(j1, j2),
-            policy=FairSharing(),
-            topology=Topology.fat_tree(4),
-            n_iterations=n_iterations,
-            options=(
-                ("placements", (
-                    (j1.job_id, "h0_0_0", "h1_0_0"),
-                    (j2.job_id, "h0_0_1", "h1_0_1"),
-                )),
-            ),
-            faults=faults,
-        )
-
     # -- fluid ---------------------------------------------------------
 
     def test_fluid_fabric_engines_agree(self):
@@ -539,85 +516,30 @@ class TestFabricBackends:
         assert "RunSpec.topology" in message
         assert "SenderSpec.route" in message
 
-    # -- engine --------------------------------------------------------
+    # -- phase and cluster ---------------------------------------------
 
-    def test_engine_without_topology_rejects_fabric_faults(self):
+    def test_phase_without_topology_rejects_fabric_faults(self):
         faults = InjectionSchedule(events=(
             LinkFailure("up_0_0_0", 0.001, 0.002),
         ))
         j1, j2 = figure2_vgg19_pair()
         spec = RunSpec(
-            backend="engine", jobs=(j1, j2), policy=FairSharing(),
+            backend="phase", jobs=(j1, j2), policy=FairSharing(),
             n_iterations=2, faults=faults,
         )
-        with pytest.raises(ConfigError) as excinfo:
-            execute(spec)
-        message = str(excinfo.value)
-        assert "up_0_0_0" in message
-        assert "RunSpec.topology" in message
-        assert "placements" in message
-
-    def test_engine_fabric_needs_placements(self):
-        spec = self._engine_fabric_spec().replace(options=())
-        with pytest.raises(ConfigError, match="placements"):
+        with pytest.raises(ConfigError, match="up_0_0_0"):
             execute(spec)
 
-    def test_engine_fabric_runs_and_reports_link_loads(self):
-        result = execute(self._engine_fabric_spec())
-        for run in result.phase.jobs.values():
-            assert run.done
-        loads = result.phase.link_loads
-        for link in self.ROUTES["J1"]:
-            assert link in loads
-        assert max(
-            value for _, value in loads["up_0_0_0"].breakpoints()
-        ) > 0.0
-
-    def test_engine_fabric_agrees_with_single_bottleneck_on_dumbbell(self):
-        j1, j2 = figure2_vgg19_pair(jitter=0.02)
-        capacity = EFFECTIVE_BOTTLENECK
-        base = RunSpec(
-            backend="engine", seed=5, jobs=(j1, j2),
-            policy=FairSharing(), n_iterations=8, capacity=capacity,
-        )
-        dumbbell = Topology.dumbbell(
-            hosts_per_side=2,
-            host_capacity=capacity,
-            bottleneck_capacity=capacity,
-        )
-        fabric = base.replace(
-            topology=dumbbell,
-            options=(
-                ("placements", (
-                    (j1.job_id, "ha0", "hb0"),
-                    (j2.job_id, "ha1", "hb1"),
-                )),
-            ),
-        )
-        single = execute(base)
-        routed = execute(fabric)
-        for job_id in (j1.job_id, j2.job_id):
-            assert io.timeline_to_dict(
-                single.phase.timelines()[job_id]
-            ) == io.timeline_to_dict(routed.phase.timelines()[job_id])
-
-    def test_engine_fabric_fault_slows_jobs_and_restores_capacity(self):
-        spec = self._engine_fabric_spec()
+    def test_cluster_fabric_fault_slows_jobs_and_restores_capacity(self):
+        spec = cluster_fabric_spec()
         topology = spec.topology
-        base = topology.link_by_name("up_0_0_0").capacity
+        link = "h0_0_0->edge0_0"  # J1's host uplink
+        base = topology.link_by_name(link).capacity
         faults = InjectionSchedule(events=(
-            RateChange("up_0_0_0", 0.05, 1.0, 0.2),
+            RateChange(link, 0.05, 1.0, 0.2),
         ))
-        clean = execute(spec)
-        faulted = execute(spec.replace(faults=faults))
-        assert faulted.phase.duration > clean.phase.duration
-        assert topology.link_by_name("up_0_0_0").capacity == base
-
-    def test_engine_fabric_rejects_unknown_fault_link(self):
-        from repro.errors import TopologyError
-
-        faults = InjectionSchedule(events=(
-            LinkFailure("no_such_link", 0.01, 0.02),
-        ))
-        with pytest.raises(TopologyError, match="no_such_link"):
-            execute(self._engine_fabric_spec(faults=faults))
+        clean = execute(spec).timelines()["J1"]
+        faulted = execute(spec.replace(faults=faults)).timelines()["J1"]
+        assert faulted.iteration_times()[0] > clean.iteration_times()[0]
+        assert list(faulted)[-1].end > list(clean)[-1].end
+        assert topology.link_by_name(link).capacity == base

@@ -1,11 +1,13 @@
 """Vector/scalar engine equivalence for the fixed-step CC simulators.
 
-The vectorized :class:`repro.cc.sender_bank.SenderBank` (and the AIMD
-span engine) are required to be *bit-identical* to the dt-by-dt scalar
-reference — same sampled series, same random draws, same timelines —
-which is a stronger guarantee than the shared ``repro.floats``
-tolerances the rest of the suite uses. These tests pin that, plus the
-sample-grid alignment and the engine-selection plumbing.
+The vectorized :class:`repro.cc.sender_bank.SenderBank` is required to
+be *bit-identical* to the dt-by-dt scalar reference — same sampled
+series, same random draws, same timelines — which is a stronger
+guarantee than the shared ``repro.floats`` tolerances the rest of the
+suite uses. These tests pin that, plus the sample-grid alignment and
+the engine-selection plumbing. AIMD has one per-tick loop per mode;
+its single-bottleneck loop must match its fabric loop on a one-link
+dumbbell bit for bit.
 """
 
 import numpy as np
@@ -376,37 +378,45 @@ class TestEngineSelection:
     def test_rejects_unknown_engine(self):
         with pytest.raises(ConfigError):
             DcqcnFluidSimulator(engine="simd")
-        with pytest.raises(ConfigError):
-            AimdFluidSimulator(engine="simd")
 
     def test_default_engine_is_vector(self):
         assert DcqcnFluidSimulator().engine == "vector"
-        assert AimdFluidSimulator().engine == "vector"
 
 
 class TestAimdEquivalence:
-    def _build(self, engine):
-        sim = AimdFluidSimulator(capacity=gbps(50), engine=engine)
-        sim.add_sender("a", AimdParams())
-        sim.add_sender("b", AimdParams(increase_rate=gbps(2) / 0.01))
+    """The single-bottleneck loop equals the fabric loop on a one-link
+    dumbbell whose every route is ``("L1",)``."""
+
+    def _build(self, one_link):
+        topology, route = None, ()
+        if one_link:
+            topology = Topology.dumbbell(bottleneck_capacity=gbps(50))
+            route = ("L1",)
+        sim = AimdFluidSimulator(capacity=gbps(50), topology=topology)
+        sim.add_sender("a", AimdParams(), route=route)
+        sim.add_sender(
+            "b", AimdParams(increase_rate=gbps(2) / 0.01), route=route
+        )
         sim.add_job(
-            "J1", compute_time=0.01, comm_bytes=0.01 * gbps(30)
+            "J1", compute_time=0.01, comm_bytes=0.01 * gbps(30),
+            route=route,
         )
         sim.add_job(
             "J2",
             compute_time=0.012,
             comm_bytes=0.008 * gbps(25),
             start_offset=0.003,
+            route=route,
         )
         return sim
 
     def test_bit_identical(self):
-        result_s = self._build("scalar").run(0.4)
-        result_v = self._build("vector").run(0.4)
-        _assert_identical(result_s, result_v)
-        for name in result_s.timelines:
-            assert len(result_s.timelines[name]) > 0
+        dumbbell = self._build(one_link=False).run(0.4)
+        fabric = self._build(one_link=True).run(0.4)
+        _assert_identical(dumbbell, fabric)
+        for name in dumbbell.timelines:
+            assert len(dumbbell.timelines[name]) > 0
             assert (
-                repr(result_s.timelines[name].__dict__)
-                == repr(result_v.timelines[name].__dict__)
+                repr(dumbbell.timelines[name].__dict__)
+                == repr(fabric.timelines[name].__dict__)
             )
