@@ -21,14 +21,12 @@ from ..faults.runtime import (  # simlint: disable=ARCH001 - same inversion as a
     MODE_FREEZE,
     MODE_NORMAL,
     build_warp,
-    capacity_windows,
-    link_capacity_windows,
     single_link,
 )
 from ..sim.trace import TimeSeries
 from ..switches.queues import FluidQueue
 from ..units import gbps, kib, mbps
-from .sender_bank import LinkFabric, sample_ticks
+from .sender_bank import BOTTLENECK, LinkFabric
 
 if TYPE_CHECKING:
     from ..net.topology import Topology
@@ -280,91 +278,26 @@ class AimdFluidSimulator:
         return route
 
     def run(self, duration: float) -> AimdResult:
-        """Simulate ``duration`` seconds; plain senders always backlogged."""
+        """Simulate ``duration`` seconds; plain senders always backlogged.
+
+        One per-tick loop serves both modes: without a topology the
+        simulator is the one-link fabric whose link wraps
+        ``self.queue``. Per tick: blocked links (failed, storming)
+        silence every source routed across them — no arrivals, no
+        grow/cut, rates held, jobs' activation clockwork deferred.
+        Unblocked sources inject on every route link; a source then
+        cuts when any of its route links dropped bytes this tick and
+        grows otherwise.
+        """
         if not self._senders and not self._jobs:
             raise SimulationError("add at least one sender before run()")
         self._install_fault_warps()
-        if self.topology is not None:
-            return self._run_fabric(duration)
-        sources = self._senders + self._jobs
-        steps = int(round(duration / self.dt))
-        samples_every = max(1, int(round(self.sample_interval / self.dt)))
-        rows_t: List[float] = []
-        rows_v: List[List[float]] = []
-        base_capacity = self.queue.capacity
-        for window in capacity_windows(
-            self.faults, steps, self.dt, base_capacity
-        ):
-            if window.mode == MODE_NORMAL:
-                self._set_capacity(window.capacity)
-                self._run_span(
-                    window.start, window.end, samples_every,
-                    rows_t, rows_v, sources,
-                )
-            elif window.mode == MODE_FREEZE:
-                self._span_freeze(
-                    window.start, window.end, samples_every,
-                    rows_t, rows_v, sources,
-                )
-            else:
-                self._set_capacity(window.capacity)
-                self._span_storm(
-                    window.start, window.end, samples_every,
-                    rows_t, rows_v, sources,
-                )
-        self._set_capacity(base_capacity)
-        result = AimdResult(duration=duration)
-        for column, source in enumerate(sources):
-            result.rate_series[source.name] = TimeSeries.from_arrays(
-                source.name, rows_t, [row[column] for row in rows_v]
-            )
-        result.timelines = {job.name: job.timeline for job in self._jobs}
-        return result
-
-    def _install_fault_warps(self) -> None:
-        """Attach per-job warps (stragglers, skew, latency spikes) once."""
-        if self.faults is None or self._fault_warps_installed:
-            return
-        self._fault_warps_installed = True
-        if self.topology is None:
-            link = single_link(self.faults)
-            default_links = (link,) if link is not None else ()
-            routes = [default_links] * len(self._jobs)
-        else:
-            routes = self._job_routes
-        for job, links in zip(self._jobs, routes):
-            warp = build_warp(self.faults, job.name, links)
-            if warp is not None:
-                job.install_warp(warp)
-
-    def _run_fabric(self, duration: float) -> AimdResult:
-        """The multi-link per-tick loop.
-
-        Per tick: blocked links (failed, storming) silence every source
-        routed across them — no arrivals, no grow/cut, rates held, jobs'
-        activation clockwork deferred exactly like a skipped scalar
-        ``step``. Unblocked sources inject on every route link; a source
-        then cuts when any of its route links dropped bytes this tick
-        and grows otherwise.
-        """
         dt = self.dt
         steps = int(round(duration / dt))
         samples_every = max(1, int(round(self.sample_interval / dt)))
         sources = self._senders + self._jobs
-        routes = self._sender_routes + self._job_routes
-        if self.fabric is None:
-            extra = (
-                () if self.faults is None
-                else tuple(self.faults.link_names())
-            )
-            self.fabric = LinkFabric.from_topology(
-                self.topology, routes, extra_links=extra,
-                max_occupancy=self.buffer_bytes,
-            )
-        fabric = self.fabric
-        index_routes = [
-            tuple(fabric.index[name] for name in route) for route in routes
-        ]
+        fabric = self._fabric(len(sources))
+        index_routes = fabric.routes
         n_senders = len(self._senders)
         queues = fabric.queues
         modes = fabric.modes
@@ -374,9 +307,7 @@ class AimdFluidSimulator:
         blocked = [False] * n_links
         arrivals = [0.0] * n_links
         dropped_before = [0.0] * n_links
-        for window in link_capacity_windows(
-            self.faults, steps, dt, fabric.base_capacities()
-        ):
+        for window in fabric.windows(self.faults, steps, dt):
             fabric.apply_window(window.modes)
             for step_index in range(window.start, window.end):
                 now = step_index * dt
@@ -433,84 +364,40 @@ class AimdFluidSimulator:
         result.timelines = {job.name: job.timeline for job in self._jobs}
         return result
 
-    def _set_capacity(self, capacity: float) -> None:
-        """Point both capacity views at the window's effective value."""
-        self.capacity = capacity
-        self.queue.capacity = capacity
-
-    def _run_span(
-        self,
-        start: int,
-        end: int,
-        samples_every: int,
-        rows_t: List[float],
-        rows_v: List[List[float]],
-        sources: List[object],
-    ) -> None:
-        """The regular loop over ticks ``[start, end)``."""
-        for step_index in range(start, end):
-            self._step_once(step_index, sources)
-            if (step_index + 1) % samples_every == 0:
-                # Samples land on the sample_interval grid: the state
-                # after tick k covers time (k+1) * dt.
-                rows_t.append((step_index + 1) * self.dt)
-                rows_v.append([source.rate for source in sources])
-
-    def _span_freeze(
-        self,
-        start: int,
-        end: int,
-        samples_every: int,
-        rows_t: List[float],
-        rows_v: List[List[float]],
-        sources: List[object],
-    ) -> None:
-        """Failed-link ticks: all state holds; only sample rows appear.
-
-        A frozen span has no dynamics by definition, so it has a closed
-        form.
-        """
-        wanted = sample_ticks(start, end, samples_every)
-        if not len(wanted):
+    def _install_fault_warps(self) -> None:
+        """Attach per-job warps (stragglers, skew, latency spikes) once."""
+        if self.faults is None or self._fault_warps_installed:
             return
-        row = [source.rate for source in sources]
-        for g in wanted:
-            rows_t.append((g + 1) * self.dt)
-            rows_v.append(list(row))
-
-    def _span_storm(
-        self,
-        start: int,
-        end: int,
-        samples_every: int,
-        rows_t: List[float],
-        rows_v: List[List[float]],
-        sources: List[object],
-    ) -> None:
-        """Pause-storm ticks: senders frozen while the queue drains.
-
-        AIMD has no PFC model, so a storm degrades to a pause: no
-        arrivals, no loss feedback, rates held.
-        """
-        for step_index in range(start, end):
-            self.queue.step(0.0, self.dt)
-            if (step_index + 1) % samples_every == 0:
-                rows_t.append((step_index + 1) * self.dt)
-                rows_v.append([source.rate for source in sources])
-
-    def _step_once(self, step_index: int, sources: List[object]) -> None:
-        """One tick of the single-bottleneck loop."""
-        now = step_index * self.dt
-        arrival = sum(s.rate for s in self._senders)
-        for job in self._jobs:
-            arrival += job.step(now, self.dt, 0.0) / self.dt
-        dropped_before = self.queue.dropped_bytes
-        self.queue.step(arrival, self.dt)
-        if self.queue.dropped_bytes > dropped_before:
-            # Loss is congestion feedback: every sender backs off
-            # (synchronized loss — the worst case for fairness churn).
-            for source in sources:
-                source.cut()
+        self._fault_warps_installed = True
+        if self.topology is None:
+            link = single_link(self.faults)
+            default_links = (link,) if link is not None else ()
+            routes = [default_links] * len(self._jobs)
         else:
-            for source in sources:
-                source.grow(self.dt)
+            routes = self._job_routes
+        for job, links in zip(self._jobs, routes):
+            warp = build_warp(self.faults, job.name, links)
+            if warp is not None:
+                job.install_warp(warp)
+
+    def _fabric(self, n_sources: int) -> LinkFabric:
+        """The links this run steps: without a topology, the one-link
+        fabric around ``self.queue`` that every source crosses; with
+        one, the routed (and fault-targeted) links, built on first use
+        so their queues carry over between runs."""
+        if self.topology is None:
+            return LinkFabric(
+                [BOTTLENECK], [self.capacity],
+                [(BOTTLENECK,)] * n_sources, [self.queue],
+                is_bottleneck=True,
+            )
+        if self.fabric is None:
+            extra = (
+                () if self.faults is None
+                else tuple(self.faults.link_names())
+            )
+            self.fabric = LinkFabric.from_topology(
+                self.topology, self._sender_routes + self._job_routes,
+                extra_links=extra, max_occupancy=self.buffer_bytes,
+            )
+        return self.fabric

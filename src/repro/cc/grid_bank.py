@@ -1,846 +1,18 @@
-"""Batched multi-run grid engine: N simulations as one SoA kernel.
+"""Placeholder for the deleted batched DCQCN grid engine.
 
-:class:`GridBank` stacks N independent single-bottleneck
-:class:`repro.cc.dcqcn.DcqcnFluidSimulator` runs — a sweep grid of
-seeds x timers x workloads — into one structure-of-arrays simulation
-with state shaped ``(runs, senders)``. Each run keeps its own
-:class:`repro.cc.sender_bank.SenderBank` (the within-run vector
-engine), and the grid reuses that machinery wholesale: the shared
-:class:`TimerCache` wrap schedules, the deterministic span
-fast-forward, the idle/fault-window bulk advances, and the chunked
-:class:`UniformChunks` RNG draws.
-
-The contract is the same as the sender bank's, one level up: every
-run's observable output — rate/queue series, ``timelines()``, final
-sender state, RNG stream positions — is **bit-identical** to executing
-that simulator alone through ``engine="vector"``. Three properties
-make that possible:
-
-* **Per-run lane control flow.** Each lane owns a generator that
-  replays ``SenderBank.run`` exactly — fault-window partitioning, the
-  idle fast-forward, the span probe with its retry backoff — but with
-  the per-tick stretch (``_tick_run``) replaced by a *yield* into the
-  shared kernel. Spans, bulk idles and fault windows still execute on
-  the lane's own bank; only the stochastic tick-by-tick stretches are
-  stacked. Span/probe boundaries are pure cost decisions in the sender
-  bank (every committed quantity is bit-identical to per-tick
-  stepping), so the grid is free to cut them differently.
-* **Masked per-tick kernel.** The stacked tick replays the per-slot
-  scalar sequence with ``(runs, senders)`` array ops whose operands
-  are neutralized on inactive slots (``dt`` contribution 0.0,
-  remaining ``inf`` on infinite senders, clamp bounds ``-inf/+inf``),
-  so elementwise IEEE-754 ops land exactly where the scalar loop
-  would. Order-sensitive pieces — the CNP coin flips (scalar ``**``),
-  byte/timer wrap while-loops, alpha decay — run as exact scalar
-  fixups over ``np.nonzero`` hits in row-major order, matching each
-  lane's slot order. Per-tick arrivals fold via ``cumsum`` (sequential
-  adds; the interleaved 0.0 of inactive slots are exact no-ops).
-* **Writeback/reload sync.** Whenever a lane needs its bank's Python
-  machinery (span probe, activation, completion, bulk window) the
-  kernel writes its rows back into the bank lists, runs the original
-  code, and reloads — so there is exactly one source of truth at any
-  time and no grid-side reimplementation of the event logic.
-
-Lanes must not share numpy generators (draw interleaving across runs
-would change stream positions); :meth:`GridBank.build` rejects such
-grids. Sharing *within* a lane is fine — slot order is preserved.
-
-One caveat when driving this directly with a single ambient telemetry
-session: per-lane counters and series are identical to solo runs, but
-the *interleaving* of fault events across lanes in the shared trace
-differs from running the sims back to back. The runner's batch tier
-gives every spec its own session, so recorded runs are exact.
+Every fluid spec runs on :class:`repro.cc.sender_bank.SenderBank`; the
+perfbench tracer still patches the two names below, so they remain.
 """
-
-from __future__ import annotations
-
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-from ..errors import SimulationError
-from ..faults.runtime import (  # simlint: disable=ARCH001 - the grid engine replays fault windows inline, same inversion as sender_bank
-    MODE_FREEZE,
-    MODE_NORMAL,
-    emit_fault_events,
-)
-from .dcqcn import (
-    DcqcnFluidSimulator,
-    DcqcnResult,
-    _SampleBuffer,
-    check_duration,
-)
-from .sender_bank import (
-    TICK_RETRY,
-    SenderBank,
-    TimerCache,
-    activation_tick,
-)
-
-#: Tick sentinel meaning "this lane never reaches that event".
-_NEVER = 1 << 62
-
-#: Request yielded by a lane generator to the kernel:
-#: ``(tick, window_end, retry_at)``.
-_TickRequest = Tuple[int, int, int]
-
-
-def grid_compatible(sim) -> bool:
-    """Whether ``sim`` can ride in a :class:`GridBank` lane.
-
-    The batchability rules: a plain :class:`DcqcnFluidSimulator`
-    (no subclass), single bottleneck (no topology), no PFC, the
-    vector engine not overridden, at least one sender, and every
-    source/marker/queue type inside the sender bank's fast-path set.
-    """
-    return _lane_bank(sim) is not None
-
-
-def _lane_bank(sim) -> Optional[SenderBank]:
-    """A fresh :class:`SenderBank` for ``sim``, or ``None`` if any
-    batchability rule fails. Building a bank only snapshots state —
-    it never mutates the simulator — so probing is side-effect free."""
-    if type(sim) is not DcqcnFluidSimulator:
-        return None
-    if sim.topology is not None or sim.fabric is not None:
-        return None
-    if sim.pfc_pause_threshold is not None:
-        return None
-    if sim.engine != "vector":
-        return None
-    if not sim.senders:
-        return None
-    bank = SenderBank.build(sim)
-    if bank is None:
-        return None
-    if not bank._red_marker or bank._has_pfc:
-        return None
-    # The grid clamps rates with maximum-then-minimum, which matches
-    # the scalar if/elif only while the floor sits at or below the
-    # line rate (always true for sane params; reject the pathology).
-    for floor, line in zip(bank.min_rate, bank.line):
-        if floor > line:
-            return None
-    return bank
-
-
-def run_grid(sims: Sequence, duration: float) -> List[DcqcnResult]:
-    """Run ``sims`` for ``duration`` seconds, stacking every compatible
-    same-``dt`` subset into one :class:`GridBank` and executing the
-    rest (AIMD simulators, custom sources, scalar-forced engines,
-    PFC/topology configs) individually. Results come back in input
-    order, bit-identical to ``[sim.run(duration) for sim in sims]``."""
-    sims = list(sims)
-    results: List[Optional[DcqcnResult]] = [None] * len(sims)
-    by_dt: Dict[float, List[Tuple[int, SenderBank]]] = {}
-    for index, sim in enumerate(sims):
-        bank = _lane_bank(sim)
-        if bank is not None:
-            by_dt.setdefault(sim.dt, []).append((index, bank))
-    for lanes in by_dt.values():
-        indices = [index for index, _ in lanes]
-        grid = GridBank._stack(
-            [sims[i] for i in indices], [bank for _, bank in lanes]
-        )
-        if grid is None:
-            continue
-        for i, trace in zip(indices, grid.run(duration)):
-            results[i] = trace
-    for index, sim in enumerate(sims):
-        if results[index] is None:
-            results[index] = sim.run(duration)
-    return results
-
-
-class _Lane:
-    """One run's slice of the grid: its simulator, bank, sample buffer
-    and the control-flow generator that replays ``SenderBank.run``."""
-
-    __slots__ = (
-        "r", "n", "sim", "bank", "samples", "samples_every", "steps",
-        "gen", "job_lifec", "p_floor", "p_line", "done",
-    )
-
-    def __init__(self, r: int, sim, bank: SenderBank) -> None:
-        self.r = r
-        self.n = len(bank.objs)
-        self.sim = sim
-        self.bank = bank
-        self.samples = _SampleBuffer()
-        self.samples_every = 1
-        self.steps = 0
-        self.gen: Optional[Generator] = None
-        self.job_lifec = list(bank.lifec)
-        self.p_floor = np.array(bank.min_rate, dtype=float)
-        self.p_line = np.array(bank.line, dtype=float)
-        self.done = False
 
 
 class GridBank:
-    """Structure-of-arrays state for every sender of every run."""
-
-    def __init__(self, sims: List, banks: List[SenderBank]) -> None:
-        self.sims = sims
-        self.banks = banks
-        self.dt = sims[0].dt
-        R = len(sims)
-        S = max(len(bank.objs) for bank in banks)
-        self._R = R
-        self._S = S
-        shape = (R, S)
-        # Float state, (runs, senders). Padding columns are permanently
-        # inactive and neutralized below.
-        self._rate = np.zeros(shape)
-        self._target = np.zeros(shape)
-        self._alpha = np.zeros(shape)
-        self._rem = np.zeros(shape)
-        self._bsent = np.zeros(shape)
-        self._bacc = np.zeros(shape)
-        self._tacc = np.zeros(shape)
-        self._ncnp = np.zeros(shape)
-        self._ndecay = np.full(shape, np.inf)
-        self._cs = np.zeros(shape)
-        self._dt_act = np.zeros(shape)
-        self._floor_eff = np.full(shape, -np.inf)
-        self._line_eff = np.full(shape, np.inf)
-        self._sent = np.zeros(shape)
-        # Integer / boolean state.
-        self._bst = np.zeros(shape, dtype=np.int64)
-        self._tst = np.zeros(shape, dtype=np.int64)
-        self._tph = np.zeros(shape, dtype=np.int64)
-        self._cnps = np.zeros(shape, dtype=np.int64)
-        self._act = np.zeros(shape, dtype=bool)
-        self._finite = np.zeros(shape, dtype=bool)
-        self._isjob = np.zeros(shape, dtype=bool)
-        # Static per-slot parameters (padding stays inf: never wraps,
-        # never draws). Full (runs, senders) arrays so the hit/wrap/
-        # decay fixups can gather them with fancy indexing.
-        self._p_B = np.full(shape, np.inf)
-        self._p_T = np.full(shape, np.inf)
-        self._p_mtu = np.full(shape, np.inf)
-        self._p_g = np.zeros(shape)
-        self._p_omg = np.ones(shape)
-        self._p_cnpint = np.full(shape, np.inf)
-        self._p_alphat = np.full(shape, np.inf)
-        self._p_minrate = np.zeros(shape)
-        self._p_rai = np.zeros(shape)
-        self._p_rhai = np.zeros(shape)
-        self._p_fast = np.zeros(shape, dtype=np.int64)
-        self._p_line = np.full(shape, np.inf)
-        # Reusable scratch (masks and the per-tick send matrix).
-        self._elig = np.zeros(shape, dtype=bool)
-        self._wrapb = np.zeros(shape, dtype=bool)
-        self._decayb = np.zeros(shape, dtype=bool)
-        self._compb = np.zeros(shape, dtype=bool)
-        # Per-lane state, (runs,).
-        self._i = np.zeros(R, dtype=np.int64)
-        self._end = np.zeros(R, dtype=np.int64)
-        self._retry = np.zeros(R, dtype=np.int64)
-        self._sev = np.ones(R, dtype=np.int64)
-        self._act_min = np.full(R, _NEVER, dtype=np.int64)
-        self._nact = np.zeros(R, dtype=np.int64)
-        self._occ = np.zeros(R)
-        self._cap = np.zeros(R)
-        self._kmin = np.zeros(R)
-        self._kmax = np.zeros(R)
-        self._pmax = np.zeros(R)
-        self._mspan = np.ones(R)
-        self._ticking = np.zeros(R, dtype=bool)
-        self._n_ticking = 0
-        # Chunked RNG stream per slot for the CNP draw loop, indexed by
-        # the flat (row-major) slot index ``r * S + s``.
-        self._slot_stream: List[Optional[object]] = [None] * (R * S)
-        self._lanes: List[_Lane] = []
-        for r, (sim, bank) in enumerate(zip(sims, banks)):
-            n = len(bank.objs)
-            self._finite[r, :n] = bank.finite
-            self._isjob[r, :n] = bank.is_job
-            self._p_B[r, :n] = bank.byte_counter
-            self._p_T[r, :n] = bank.timer
-            self._p_mtu[r, :n] = bank.mtu
-            self._p_g[r, :n] = bank.g
-            self._p_omg[r, :n] = bank.one_minus_g
-            self._p_cnpint[r, :n] = bank.cnp_interval
-            self._p_alphat[r, :n] = bank.alpha_timer
-            self._p_minrate[r, :n] = bank.min_rate
-            self._p_rai[r, :n] = bank.rai
-            self._p_rhai[r, :n] = bank.rhai
-            self._p_fast[r, :n] = bank.fast_rounds
-            self._p_line[r, :n] = bank.line
-            self._kmin[r] = bank._kmin
-            self._kmax[r] = bank._kmax
-            self._pmax[r] = bank._pmax
-            self._mspan[r] = bank._mspan
-            self._slot_stream[r * S:r * S + n] = bank.stream
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
+    """Kept only because the perfbench tracer still patches this name."""
 
     @classmethod
-    def build(cls, sims: Sequence) -> Optional["GridBank"]:
-        """A grid for ``sims``, or ``None`` if any simulator breaks a
-        batchability rule (see :func:`grid_compatible`), the time steps
-        differ, or two lanes share a numpy generator."""
-        sims = list(sims)
-        banks = [_lane_bank(sim) for sim in sims]
-        if not sims or any(bank is None for bank in banks):
-            return None
-        return cls._stack(sims, banks)
+    def build(cls, sims):
+        """Kept only because the perfbench tracer still patches this name."""
+        return None
 
-    @classmethod
-    def _stack(
-        cls, sims: List, banks: List[SenderBank]
-    ) -> Optional["GridBank"]:
-        """The grid over already-built lane banks, or ``None`` if the
-        time steps differ or two lanes share a numpy generator."""
-        dt0 = sims[0].dt
-        seen_rngs: set = set()
-        for sim, bank in zip(sims, banks):
-            if sim.dt != dt0:
-                return None
-            lane_rngs = set(bank._streams_by_rng)
-            if lane_rngs & seen_rngs:
-                # A generator shared across lanes would interleave
-                # draws between runs; stream positions could not match
-                # solo execution.
-                return None
-            seen_rngs |= lane_rngs
-        # One TimerCache per (timer, dt) for the whole grid: the
-        # trajectory is a pure function of the key, so lanes share the
-        # lazily-extended wrap schedules instead of rebuilding them.
-        shared: Dict[Tuple[float, float], TimerCache] = {}
-        for bank in banks:
-            for key, cache in list(bank._tcaches.items()):
-                bank._tcaches[key] = shared.setdefault(key, cache)
-            bank.tcache = [
-                bank._tcaches[(bank.timer[k], dt0)]
-                for k in range(len(bank.objs))
-            ]
-        return cls(sims, banks)
-
-    # ------------------------------------------------------------------
-    # Run loop
-    # ------------------------------------------------------------------
-
-    def run(self, duration: float) -> List[DcqcnResult]:
-        """Simulate every lane for ``duration`` seconds; same contract
-        as ``[sim.run(duration) for sim in sims]`` with the vector
-        engine, including the fault-event emission and final sender
-        writeback each solo run performs."""
-        check_duration(duration)
-        dt = self.dt
-        steps = int(round(duration / dt))
-        self._lanes = []
-        for r, (sim, bank) in enumerate(zip(self.sims, self.banks)):
-            if not sim.senders:
-                raise SimulationError(
-                    "add at least one sender before run()"
-                )
-            sim._install_fault_warps()
-            emit_fault_events(sim.telemetry, sim.faults)
-            lane = _Lane(r, sim, bank)
-            lane.steps = steps
-            lane.samples_every = max(
-                1, int(round(sim.sample_interval / dt))
-            )
-            self._sev[r] = lane.samples_every
-            lane.gen = self._drive(lane)
-            self._lanes.append(lane)
-        for lane in self._lanes:
-            self._advance(lane, first=True)
-        self._kernel()
-        # The kernel appends sample rows as array views to keep the hot
-        # loop cheap; normalize them to the plain lists the bank's
-        # bulk/span paths append before handing off to _finish.
-        for lane in self._lanes:
-            rows = lane.samples.rows
-            for idx, row in enumerate(rows):
-                rates = row[1]
-                if isinstance(rates, np.ndarray):
-                    rows[idx] = (row[0], rates.tolist(), row[2])
-        return [
-            bank._finish(duration, steps, lane.samples)
-            for lane, bank in zip(self._lanes, self.banks)
-        ]
-
-    # ------------------------------------------------------------------
-    # Lane control flow (replays SenderBank.run / _run_span)
-    # ------------------------------------------------------------------
-
-    def _drive(self, lane: _Lane) -> Generator[_TickRequest, int, None]:
-        """Replay of :meth:`SenderBank.run`'s window loop for one lane;
-        stochastic stretches yield tick requests into the kernel. A
-        lane is a one-link fabric, so every window is uniform."""
-        sim = lane.sim
-        bank = lane.bank
-        fabric = bank.fabric
-        for window in fabric.windows(sim.faults, lane.steps, self.dt):
-            fabric.apply_window(window.modes)
-            mode = fabric.uniform_mode()
-            if mode == MODE_NORMAL:
-                yield from self._drive_span(lane, window.start, window.end)
-            elif mode == MODE_FREEZE:
-                bank._bulk_freeze(
-                    window.start, window.end, lane.samples_every,
-                    lane.samples,
-                )
-            else:
-                bank._bulk_storm(
-                    window.start, window.end, lane.samples_every,
-                    lane.samples,
-                )
-
-    def _drive_span(
-        self, lane: _Lane, start: int, steps: int
-    ) -> Generator[_TickRequest, int, None]:
-        """Replay of :meth:`SenderBank._run_span` (PFC branch excluded
-        by the batchability rules) with ``_tick_run`` replaced by a
-        yield. The kernel resumes the generator with the lane's current
-        tick whenever the lane hits the window end, goes fully idle, or
-        passes ``retry_at`` with a span-friendly gate — at which point
-        the original probe/backoff logic runs unchanged on the bank."""
-        bank = lane.bank
-        i = start
-        retry_at = start
-        retry_gap = TICK_RETRY
-        while i < steps:
-            if bank._n_active == 0:
-                nxt = bank._next_activation()
-                if nxt is None or nxt > i:
-                    end = steps if nxt is None else min(nxt, steps)
-                    bank._bulk_idle(
-                        i, end, lane.samples_every, lane.samples
-                    )
-                    i = end
-                    retry_gap = TICK_RETRY
-                    continue
-            elif i >= retry_at:
-                advanced = bank._try_span(
-                    i, steps, lane.samples_every, lane.samples
-                )
-                if advanced:
-                    i += advanced
-                    retry_gap = TICK_RETRY
-                    continue
-                retry_at = i + retry_gap
-                if retry_gap < 8 * TICK_RETRY:
-                    retry_gap *= 2
-            i = yield (i, steps, retry_at)
-
-    def _advance(
-        self, lane: _Lane, value: Optional[int] = None,
-        first: bool = False,
-    ) -> None:
-        """Resume a lane's generator; load its next tick request into
-        the arrays, or retire the lane when the run is finished."""
-        try:
-            if first:
-                request = next(lane.gen)
-            else:
-                request = lane.gen.send(value)
-        except StopIteration:
-            lane.done = True
-            self._retire_row(lane.r)
-            return
-        i, end, retry_at = request
-        r = lane.r
-        self._i[r] = i
-        self._end[r] = end
-        self._retry[r] = retry_at
-        self._load_row(lane)
-        if not self._ticking[r]:
-            self._ticking[r] = True
-            self._n_ticking += 1
-
-    # ------------------------------------------------------------------
-    # Array <-> bank synchronization
-    # ------------------------------------------------------------------
-
-    def _load_row(self, lane: _Lane) -> None:
-        """Refresh lane ``r``'s rows from its bank and simulator."""
-        r = lane.r
-        n = lane.n
-        bank = lane.bank
-        self._rate[r, :n] = bank.rate
-        self._target[r, :n] = bank.target
-        self._alpha[r, :n] = bank.alpha
-        self._bsent[r, :n] = bank.bytes_sent
-        self._bacc[r, :n] = bank.b_acc
-        self._tacc[r, :n] = bank.t_acc
-        self._ncnp[r, :n] = bank.next_cnp
-        self._ndecay[r, :n] = bank.next_decay
-        self._bst[r, :n] = bank.b_st
-        self._tst[r, :n] = bank.t_st
-        self._tph[r, :n] = bank.t_ph
-        self._cnps[r, :n] = bank.cnps
-        act_row = np.array(bank.active, dtype=bool)
-        self._act[r, :n] = act_row
-        # Infinite senders carry +inf here so the shared remaining
-        # clamp is an exact no-op; the placeholder 0.0 the bank stores
-        # is restored on writeback.
-        self._rem[r, :n] = np.where(
-            self._finite[r, :n], np.array(bank.remaining), np.inf
-        )
-        # Masked operands: inactive slots contribute dt 0.0 and clamp
-        # against -inf/+inf, so full-row ops cannot disturb them.
-        self._dt_act[r, :n] = np.where(act_row, self.dt, 0.0)
-        self._floor_eff[r, :n] = np.where(act_row, lane.p_floor, -np.inf)
-        self._line_eff[r, :n] = np.where(act_row, lane.p_line, np.inf)
-        for s, lifecycle in enumerate(lane.job_lifec):
-            if lifecycle is not None:
-                self._cs[r, s] = lifecycle.comm_sent
-        sim = lane.sim
-        self._occ[r] = sim.queue.occupancy
-        self._cap[r] = sim.queue.capacity
-        self._nact[r] = bank._n_active
-        nxt = bank._next_activation() if bank._idle_live else None
-        self._act_min[r] = _NEVER if nxt is None else nxt
-
-    def _writeback(self, lane: _Lane) -> None:
-        """Write lane ``r``'s rows back into its bank and simulator so
-        the original Python machinery sees exact current state."""
-        r = lane.r
-        n = lane.n
-        bank = lane.bank
-        bank.rate = self._rate[r, :n].tolist()
-        bank.target = self._target[r, :n].tolist()
-        bank.alpha = self._alpha[r, :n].tolist()
-        bank.bytes_sent = self._bsent[r, :n].tolist()
-        bank.b_acc = self._bacc[r, :n].tolist()
-        bank.t_acc = self._tacc[r, :n].tolist()
-        bank.next_cnp = self._ncnp[r, :n].tolist()
-        bank.next_decay = self._ndecay[r, :n].tolist()
-        bank.b_st = self._bst[r, :n].tolist()
-        bank.t_st = self._tst[r, :n].tolist()
-        bank.t_ph = self._tph[r, :n].tolist()
-        bank.cnps = self._cnps[r, :n].tolist()
-        bank.active = self._act[r, :n].tolist()
-        bank.remaining = np.where(
-            self._finite[r, :n], self._rem[r, :n], 0.0
-        ).tolist()
-        for s, lifecycle in enumerate(lane.job_lifec):
-            if lifecycle is not None:
-                lifecycle.comm_sent = float(self._cs[r, s])
-        bank._n_active = int(self._nact[r])
-        lane.sim.queue.occupancy = float(self._occ[r])
-
-    def _retire_row(self, r: int) -> None:
-        """Neutralize a finished lane so full-grid ops ignore it."""
-        if self._ticking[r]:
-            self._ticking[r] = False
-            self._n_ticking -= 1
-        self._act[r, :] = False
-        self._dt_act[r, :] = 0.0
-        self._rate[r, :] = 0.0
-        self._floor_eff[r, :] = -np.inf
-        self._line_eff[r, :] = np.inf
-        self._occ[r] = 0.0
-        self._cap[r] = 0.0
-        self._nact[r] = 0
-        self._act_min[r] = _NEVER
-
-    # ------------------------------------------------------------------
-    # Bank-side events (activation / completion)
-    # ------------------------------------------------------------------
-
-    def _run_activations(self, r: int) -> None:
-        """Replay ``_tick_run``'s activation block for lane ``r``."""
-        lane = self._lanes[r]
-        bank = lane.bank
-        i = int(self._i[r])
-        now = i * self.dt
-        self._writeback(lane)
-        for k in tuple(bank._idle_live):
-            tick = bank._act_tick[k]
-            if tick is None:
-                tick = activation_tick(bank.objs[k]._deadline, self.dt)
-                bank._act_tick[k] = tick
-            if i >= tick:
-                bank._activate(k, now)
-        self._load_row(lane)
-
-    def _run_completions(self, r: int, cols: List[int]) -> None:
-        """Replay the per-slot completion branch for lane ``r``."""
-        lane = self._lanes[r]
-        bank = lane.bank
-        now = int(self._i[r]) * self.dt
-        self._writeback(lane)
-        for k in cols:
-            if bank.is_job[k]:
-                bank._complete(k, now, self.dt)
-            else:
-                bank.active[k] = False
-                bank._n_active -= 1
-        self._load_row(lane)
-
-    # ------------------------------------------------------------------
-    # The stacked tick kernel
-    # ------------------------------------------------------------------
-
-    def _kernel(self) -> None:
-        """Step every ticking lane one tick at a time, all lanes at
-        once, until each lane's generator finishes its run. The op
-        sequence per tick replays ``_tick_run``'s per-slot order with
-        the order-sensitive pieces as exact scalar fixups."""
-        dt = self.dt
-        rate = self._rate
-        target = self._target
-        rem = self._rem
-        bsent = self._bsent
-        bacc = self._bacc
-        tacc = self._tacc
-        ncnp = self._ncnp
-        ndecay = self._ndecay
-        cs = self._cs
-        act = self._act
-        sent = self._sent
-        iarr = self._i
-        occ_arr = self._occ
-        # Infinite senders never clamp, drain or complete, and only
-        # on-off jobs activate or carry comm_sent: skip those ops when
-        # no slot can.
-        any_finite = bool(self._finite.any())
-        any_job = bool(self._isjob.any())
-        while self._n_ticking:
-            ticking = self._ticking
-            # Activation block: burst starts due at this tick.
-            if any_job:
-                due = ticking & (iarr >= self._act_min)
-                if due.any():
-                    for r in np.nonzero(due)[0].tolist():
-                        self._run_activations(r)
-            now = iarr * dt
-            # RED marking probability per lane (same operand order as
-            # the scalar marking_probability fast path).
-            kmin = self._kmin
-            ramp = self._pmax * (occ_arr - kmin) / self._mspan
-            p_mark = np.where(
-                occ_arr <= kmin,
-                0.0,
-                np.where(occ_arr >= self._kmax, 1.0, ramp),
-            )
-            # Per-slot send: rate * dt on active slots, clamped to the
-            # remaining bytes (inf on infinite senders = exact no-op).
-            np.multiply(rate, self._dt_act, out=sent)
-            if any_finite:
-                np.minimum(sent, rem, out=sent)
-                rem -= sent
-            bsent += sent
-            if any_job:
-                cs += sent
-            # CNP coin flips: scalar ``**`` and the inlined chunk draw,
-            # in row-major (lane, slot) order — each lane's slot order,
-            # and therefore each stream's draw order, matches solo.
-            elig = self._elig
-            np.greater(sent, 0.0, out=elig)
-            elig &= now[:, None] >= ncnp
-            elig &= p_mark[:, None] > 0.0
-            slots = np.flatnonzero(elig)
-            if slots.size:
-                self._cnp_pass(slots, p_mark, now)
-            # Byte counter: accumulate post-CNP (a reset this tick
-            # still counts this tick's bytes), then exact wrap loops.
-            bacc += sent
-            wrap = self._wrapb
-            np.greater_equal(bacc, self._p_B, out=wrap)
-            if wrap.any():
-                self._wrap_pass(np.flatnonzero(wrap), byte=True)
-            # Timer: advance active slots by dt, then wrap loops.
-            tacc += self._dt_act
-            np.greater_equal(tacc, self._p_T, out=wrap)
-            slots = np.flatnonzero(wrap)
-            if slots.size:
-                self._wrap_pass(slots, byte=False)
-            self._tph += act
-            # Alpha decay.
-            decay = self._decayb
-            np.greater_equal(now[:, None], ndecay, out=decay)
-            decay &= act
-            slots = np.flatnonzero(decay)
-            if slots.size:
-                self._decay_pass(slots, now)
-            # Rate/target clamps. Maximum-then-minimum equals the
-            # scalar if/elif because build() guarantees floor <= line;
-            # inactive slots clamp against -inf/+inf (exact no-ops).
-            np.maximum(rate, self._floor_eff, out=rate)
-            np.minimum(rate, self._line_eff, out=rate)
-            np.minimum(target, self._line_eff, out=target)
-            # Queue: arrivals fold in slot order (cumsum is the exact
-            # sequential sum; inactive slots add 0.0).
-            arrival = sent.cumsum(axis=1)[:, -1]
-            net = arrival / dt - self._cap
-            occ_next = occ_arr + net * dt
-            occ_arr[...] = np.where(
-                (net < 0.0) & (occ_next <= 0.0), 0.0, occ_next
-            )
-            # Completions (finite slots that just drained).
-            comp = self._compb
-            if any_finite:
-                np.less_equal(rem, 0.0, out=comp)
-                comp &= act
-                if comp.any():
-                    comp_r, comp_s = np.nonzero(comp)
-                    for r in np.unique(comp_r).tolist():
-                        cols = comp_s[comp_r == r].tolist()
-                        self._run_completions(r, cols)
-            iarr += ticking
-            # Sample rows land at tick boundaries, post-update.
-            due = ticking & (iarr % self._sev == 0)
-            if due.any():
-                rates_now = np.where(act, rate, 0.0)
-                for r in np.nonzero(due)[0].tolist():
-                    lane = self._lanes[r]
-                    lane.samples.rows.append((
-                        int(iarr[r]) * dt,
-                        rates_now[r, : lane.n],
-                        [float(occ_arr[r])],
-                    ))
-            # Lane exits: window end, full idle, or a span-friendly
-            # probe gate past retry_at. The gate is a pure cost filter
-            # — the bank's _try_span remains the deterministic
-            # authority — so a conservative miss only costs ticks.
-            # Kernel iterations are shared across lanes, so a span only
-            # pays when it can run long: gate on an unmarked queue
-            # (spans may reach MAX_HORIZON) and skip the short
-            # between-CNP spans the solo engine would take.
-            gate = occ_arr <= kmin
-            exits = ticking & (
-                (iarr >= self._end)
-                | (self._nact == 0)
-                | ((iarr >= self._retry) & gate)
-            )
-            if exits.any():
-                for r in np.nonzero(exits)[0].tolist():
-                    lane = self._lanes[r]
-                    self._ticking[r] = False
-                    self._n_ticking -= 1
-                    self._writeback(lane)
-                    self._advance(lane, int(iarr[r]))
-
-    # ------------------------------------------------------------------
-    # Scalar fixup passes (order-sensitive pieces of the tick)
-    # ------------------------------------------------------------------
-
-    def _cnp_pass(
-        self, slots: np.ndarray, p_mark: np.ndarray, now: np.ndarray
-    ) -> None:
-        """Replay the scalar CNP block for every eligible slot.
-
-        ``slots`` are the eligible flat (row-major) slot indices, so
-        each lane's slot order, and therefore each stream's draw order,
-        matches solo. The marking probability comes from the vectorized
-        RED ramp (elementwise IEEE ops, bit-identical to the scalar
-        path), but the coin itself uses Python-float ``**`` — the
-        vectorized power op is *not* bit-identical to the scalar one —
-        and the inlined chunk draw, exactly as ``_tick_run`` does. The
-        slots whose coin lands then update in one fancy-indexed batch
-        of elementwise ops (same op sequence per slot).
-        """
-        lanes = slots // self._S
-        # sent / mtu elementwise is the scalar division bit for bit.
-        packets_l = (
-            self._sent.reshape(-1)[slots] / self._p_mtu.reshape(-1)[slots]
-        ).tolist()
-        q_mark_l = (1.0 - p_mark)[lanes].tolist()
-        slot_stream = self._slot_stream
-        hits: List[int] = []
-        append_hit = hits.append
-        for j, (slot, packets, q_mark) in enumerate(
-            zip(slots.tolist(), packets_l, q_mark_l)
-        ):
-            p_hit = 1.0 - q_mark ** packets
-            stream = slot_stream[slot]
-            pos = stream._pos
-            buf = stream._buf
-            if pos >= len(buf):
-                buf = stream.refill()
-                pos = 0
-            stream._pos = pos + 1
-            if buf[pos] < p_hit:
-                append_hit(j)
-        if not hits:
-            return
-        if len(hits) < len(packets_l):
-            slots = slots[hits]
-            lanes = lanes[hits]
-        alpha = self._alpha.reshape(-1)
-        rate = self._rate.reshape(-1)
-        # a = (1 - g) * alpha + g; rate cut to max(r * (1 - a/2), floor)
-        # with target parked at the pre-cut rate — all elementwise.
-        a_new = (
-            self._p_omg.reshape(-1)[slots] * alpha[slots]
-            + self._p_g.reshape(-1)[slots]
-        )
-        alpha[slots] = a_new
-        r_now = rate[slots]
-        self._target.reshape(-1)[slots] = r_now
-        cut = r_now * (1.0 - a_new / 2.0)
-        rate[slots] = np.maximum(cut, self._p_minrate.reshape(-1)[slots])
-        self._bacc.reshape(-1)[slots] = 0.0
-        self._tacc.reshape(-1)[slots] = 0.0
-        self._bst.reshape(-1)[slots] = 0
-        self._tst.reshape(-1)[slots] = 0
-        now_sel = now[lanes]
-        self._ncnp.reshape(-1)[slots] = (
-            now_sel + self._p_cnpint.reshape(-1)[slots]
-        )
-        self._ndecay.reshape(-1)[slots] = (
-            now_sel + self._p_alphat.reshape(-1)[slots]
-        )
-        self._cnps.reshape(-1)[slots] += 1
-        self._tph.reshape(-1)[slots] = 0
-
-    def _wrap_pass(self, slots: np.ndarray, byte: bool) -> None:
-        """Byte/timer wrap loops with increase events on the wrapping
-        flat ``slots``, vectorized one wrap round at a time (per-slot op
-        order matches the scalar while-loop; slots are independent
-        across rounds)."""
-        accum = (self._bacc if byte else self._tacc).reshape(-1)
-        stage = (self._bst if byte else self._tst).reshape(-1)
-        limit = (self._p_B if byte else self._p_T).reshape(-1)
-        bst = self._bst.reshape(-1)
-        tst = self._tst.reshape(-1)
-        rate = self._rate.reshape(-1)
-        target = self._target.reshape(-1)
-        fast = self._p_fast.reshape(-1)
-        rai = self._p_rai.reshape(-1)
-        rhai = self._p_rhai.reshape(-1)
-        line = self._p_line.reshape(-1)
-        while slots.size:
-            lim = limit[slots]
-            left = accum[slots] - lim
-            accum[slots] = left
-            stage[slots] += 1
-            # _increase_event on the wrapped slots: the in-fast branch
-            # adds exactly 0.0 (a no-op on positive targets), matching
-            # the scalar "pass"; the clamp applies unconditionally.
-            f = fast[slots]
-            b = bst[slots]
-            t = tst[slots]
-            in_fast = (b < f) & (t < f)
-            past_both = (b >= f) & (t >= f)
-            bump = np.where(
-                in_fast, 0.0, np.where(past_both, rhai[slots], rai[slots])
-            )
-            tgt = target[slots] + bump
-            np.minimum(tgt, line[slots], out=tgt)
-            target[slots] = tgt
-            rate[slots] = (tgt + rate[slots]) / 2.0
-            slots = slots[left >= lim]
-
-    def _decay_pass(self, slots: np.ndarray, now: np.ndarray) -> None:
-        """Alpha-decay while-loops on the decaying flat ``slots``,
-        vectorized one round at a time."""
-        lanes = slots // self._S
-        alpha = self._alpha.reshape(-1)
-        ndecay = self._ndecay.reshape(-1)
-        omg = self._p_omg.reshape(-1)
-        period = self._p_alphat.reshape(-1)
-        while slots.size:
-            alpha[slots] *= omg[slots]
-            nd = ndecay[slots] + period[slots]
-            ndecay[slots] = nd
-            again = now[lanes] >= nd
-            slots = slots[again]
-            lanes = lanes[again]
+    def run(self, duration):
+        """Kept only because the perfbench tracer still patches this name."""
+        raise NotImplementedError

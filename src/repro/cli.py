@@ -147,12 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the on-disk result cache (always execute)",
     )
-    run.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="run every spec on its own instead of stacking compatible "
-        "fluid specs into batched grid runs (same results, slower)",
-    )
 
     cache = subparsers.add_parser(
         "cache", help="inspect or clear the on-disk result cache"
@@ -205,14 +199,10 @@ def _runner_summary(telemetry) -> Optional[str]:
         return None
     executed = int(telemetry.counter("runner.executed").value)
     hits = int(telemetry.counter("runner.cache.hits").value)
-    batched = int(telemetry.counter("runner.batched").value)
-    line = (
+    return (
         f"runner: {specs} spec(s): {executed} executed,"
         f" {hits} cache hit(s)"
     )
-    if batched:
-        line += f", {batched} batched"
-    return line
 
 
 def _run_artifact(
@@ -221,14 +211,12 @@ def _run_artifact(
     runs_dir: str,
     jobs: int = 1,
     use_cache: bool = True,
-    batch: bool = True,
 ) -> None:
     runner = EXPERIMENTS[name][1]
     config = RunnerConfig(
         jobs=jobs,
         cache=use_cache,
         cache_dir=Path(runs_dir) / "cache",
-        batch=batch,
     )
     if not record:
         with using(config):
@@ -269,17 +257,12 @@ def main(argv: list[str] | None = None) -> int:
         record = not args.no_record
         jobs = max(1, args.jobs)
         use_cache = not args.no_cache
-        batch = not args.no_batch
         if args.artifact == "all":
             for name in sorted(EXPERIMENTS):
                 print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
-                _run_artifact(
-                    name, record, runs_dir, jobs, use_cache, batch
-                )
+                _run_artifact(name, record, runs_dir, jobs, use_cache)
             return 0
-        _run_artifact(
-            args.artifact, record, runs_dir, jobs, use_cache, batch
-        )
+        _run_artifact(args.artifact, record, runs_dir, jobs, use_cache)
         return 0
 
     if args.command == "cache":

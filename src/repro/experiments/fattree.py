@@ -283,7 +283,7 @@ def rotation_spec(
             ScenarioSpec(name="aligned", senders=senders(False)),
             ScenarioSpec(name="staggered", senders=senders(True)),
         ),
-        options=(("dt", 10e-6), ("engine", "vector")),
+        options=(("dt", 10e-6),),
     )
 
 

@@ -203,12 +203,7 @@ class FluidGridPoint:
 def fluid_grid_specs(
     seeds: Sequence[int], duration: float, seed: int = 0
 ) -> List[RunSpec]:
-    """One fluid spec per replication seed: a fair/unfair DCQCN pair.
-
-    Every spec shares the default ``dt`` and the given duration, so the
-    whole grid is one batchable group for :func:`run_many` —
-    the stacked execution is bit-identical to running each spec alone.
-    """
+    """One fluid spec per replication seed: a fair/unfair DCQCN pair."""
     def lineup(name: str, timer_j1: float) -> ScenarioSpec:
         return ScenarioSpec(
             name,
@@ -241,7 +236,7 @@ def fluid_grid(
 ) -> List[FluidGridPoint]:
     """Validate the sweep's payoff direction on the DCQCN fluid tier.
 
-    Runs a seeds-replicated fair/unfair grid as one batched
+    Runs a seeds-replicated fair/unfair grid as one
     :func:`run_many` call and reports the aggressive sender's
     bandwidth-share gain per seed.
     """

@@ -49,7 +49,7 @@ from ..telemetry.trace import (
 from .flows import Flow
 from .fluid import FluidAllocator
 from .routing import Router
-from .topology import Topology
+from .topology import Link, Topology
 
 if TYPE_CHECKING:  # imported lazily to avoid a package import cycle
     from ..cc.base import SharePolicy
@@ -261,6 +261,9 @@ class PhaseLevelSimulator:
         self._last_progress_update = 0.0
         self._link_loads: Dict[str, StepFunction] = {}
         self._tick_event = None
+        #: Base capacity of every link a fault window degrades, put back
+        #: when :meth:`run` returns (``until`` may cut a window short).
+        self._fault_bases: Dict[Link, float] = {}
 
     # ------------------------------------------------------------------
     # Setup
@@ -372,10 +375,11 @@ class PhaseLevelSimulator:
         events (rate changes, failures, PFC storms — the latter degrade
         to transient failures in this tier, which has no PFC model)
         become boundary callbacks that mutate the named link's capacity
-        and trigger a reallocation; job events and latency spikes become
-        lifecycle warps. Link names must exist in the topology; job
-        events naming unknown jobs are ignored (a schedule may span more
-        jobs than one placement runs).
+        and trigger a reallocation, and :meth:`run` restores every
+        faulted link's capacity when it returns; job events and latency
+        spikes become lifecycle warps. Link names must exist in the
+        topology; job events naming unknown jobs are ignored (a schedule
+        may span more jobs than one placement runs).
         """
         if schedule is None or schedule.is_empty:
             return
@@ -395,7 +399,7 @@ class PhaseLevelSimulator:
                 if link.name == event.link
             ]
             for link in targets:
-                base = link.capacity
+                base = self._fault_bases.setdefault(link, link.capacity)
                 faulted = (
                     base * event.factor
                     if isinstance(event, RateChange)
@@ -452,7 +456,11 @@ class PhaseLevelSimulator:
         )
         for run in self._jobs:
             self._sim.schedule_at(run.start_offset, self._begin_iteration, run)
-        end_time = self._sim.run(until=until)
+        try:
+            end_time = self._sim.run(until=until)
+        finally:
+            for link, base in self._fault_bases.items():
+                link.capacity = base
         return SimulationResult(
             jobs={run.job_id: run for run in self._jobs},
             link_loads=self._link_loads,

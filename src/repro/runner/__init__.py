@@ -18,7 +18,6 @@ from .backends import (
     resolve_backend,
 )
 from .cache import CacheEntry, ResultCache
-from .grid import batchable_spec, execute_batched, plan_groups
 from .parallel import (
     RunnerConfig,
     current_config,
@@ -48,14 +47,11 @@ __all__ = [
     "ScenarioSpec",
     "SenderSpec",
     "backend_names",
-    "batchable_spec",
     "current_config",
     "derive_seed",
     "execute",
-    "execute_batched",
     "freeze_mapping",
     "get_backend",
-    "plan_groups",
     "register",
     "resolve_backend",
     "run_many",

@@ -180,6 +180,10 @@ class PhaseBackend:
 # fluid
 # ---------------------------------------------------------------------------
 
+#: The spec options a fluid run reads: ``DcqcnFluidSimulator`` keywords.
+FLUID_OPTIONS = frozenset({"dt", "sample_interval", "pfc_pause_threshold"})
+
+
 def build_fluid_scenario_sim(
     spec: RunSpec,
     scenario,
@@ -190,31 +194,25 @@ def build_fluid_scenario_sim(
     """Construct the simulator and on-off jobs for one scenario of a
     fluid spec.
 
-    Shared by :class:`FluidBackend` and the batched grid tier
-    (:mod:`repro.runner.grid`) so both paths build byte-identical
-    simulations: same constructor arguments, same stream lookups in the
-    same order, same sender/job wiring. Returns ``(sim, jobs)`` where
-    ``jobs`` maps sender names to their :class:`OnOffDcqcnJob`.
+    Returns ``(sim, jobs)`` where ``jobs`` maps sender names to their
+    :class:`OnOffDcqcnJob`. Raises :class:`ConfigError` on an option
+    key outside :data:`FLUID_OPTIONS`.
     """
     from ..cc.dcqcn import DcqcnFluidSimulator, OnOffDcqcnJob
 
     options = spec.options_dict()
-    sim_kwargs = {"capacity": capacity}
-    if spec.topology is not None:
-        sim_kwargs["topology"] = spec.topology
-    if "dt" in options:
-        sim_kwargs["dt"] = options["dt"]
-    if "sample_interval" in options:
-        sim_kwargs["sample_interval"] = options["sample_interval"]
-    if "engine" in options:
-        sim_kwargs["engine"] = options["engine"]
-    if "pfc_pause_threshold" in options:
-        sim_kwargs["pfc_pause_threshold"] = options[
-            "pfc_pause_threshold"
-        ]
-    if spec.faults is not None:
-        sim_kwargs["faults"] = spec.faults
-    sim = DcqcnFluidSimulator(**sim_kwargs)
+    unknown = sorted(set(options) - FLUID_OPTIONS)
+    if unknown:
+        raise ConfigError(
+            f"fluid backend does not read option(s) {unknown}; "
+            f"it reads {sorted(FLUID_OPTIONS)}"
+        )
+    sim = DcqcnFluidSimulator(
+        capacity=capacity,
+        topology=spec.topology,
+        faults=spec.faults,
+        **options,
+    )
     jobs: Dict[str, OnOffDcqcnJob] = {}
     for sender in scenario.senders:
         rng = streams.get(sender.stream or f"dcqcn:{sender.name}")

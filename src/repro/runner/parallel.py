@@ -47,18 +47,13 @@ class RunnerConfig:
     """Ambient defaults for :func:`run_many`.
 
     The CLI installs one of these via :func:`using` so experiment
-    drivers pick up ``--jobs`` / ``--no-cache`` / ``--no-batch``
-    without plumbing the flags through every function signature.
+    drivers pick up ``--jobs`` / ``--no-cache`` without plumbing the
+    flags through every function signature.
     """
 
     jobs: int = 1
     cache: bool = False
     cache_dir: Path = field(default_factory=_default_cache_dir)
-    #: Stack compatible cache-miss specs into batched grid runs
-    #: (:mod:`repro.runner.grid`) before the per-spec path. Batched
-    #: results are bit-identical to per-spec execution, so this only
-    #: moves wall-clock; the CLI's ``--no-batch`` turns it off.
-    batch: bool = True
 
 
 _config = RunnerConfig()
@@ -127,9 +122,6 @@ def run_many(
         telemetry: Session to merge worker telemetry into; ``None``
             resolves to the ambient session.
 
-    Compatible cache misses run as batched grid runs when the ambient
-    ``RunnerConfig.batch`` is on (the default).
-
     Specs that fail to pickle (ad-hoc gate closures) silently fall back
     to in-process execution — same results, no fan-out.
     """
@@ -162,44 +154,19 @@ def run_many(
         else:
             pending.append(index)
 
-    # Grid tier: stack compatible cache misses into batched runs. A
-    # group that turns out not to be batchable mid-build falls back to
-    # the per-spec path below — results are bit-identical either way,
-    # so batching is purely a wall-clock decision.
-    batched: set = set()
-    if config.batch and len(pending) >= 2:
-        from . import grid as _grid
-
-        for group in _grid.plan_groups(
-            [(i, specs[i]) for i in pending]
-        ):
-            outcome = _grid.execute_batched([specs[i] for i in group])
-            if outcome is None:
-                continue
-            for index, (result, state) in zip(group, outcome):
-                results[index] = result
-                states[index] = state
-            batched.update(group)
-
-    pool_pending = [i for i in pending if i not in batched]
-    if pool_pending:
-        workers = min(jobs, len(pool_pending))
+    if pending:
+        workers = min(jobs, len(pending))
         pool_ok = workers > 1 and _specs_pickle(
-            [specs[i] for i in pool_pending]
+            [specs[i] for i in pending]
         )
         if pool_ok:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(
-                    pool.map(
-                        _execute_spec,
-                        [specs[i] for i in pool_pending],
-                    )
+                    pool.map(_execute_spec, [specs[i] for i in pending])
                 )
         else:
-            outcomes = [_execute_spec(specs[i]) for i in pool_pending]
-        for index, (result, state, elapsed) in zip(
-            pool_pending, outcomes
-        ):
+            outcomes = [_execute_spec(specs[i]) for i in pending]
+        for index, (result, state, elapsed) in zip(pending, outcomes):
             results[index] = result
             states[index] = state
             seconds[index] = elapsed
@@ -230,7 +197,6 @@ def run_many(
         session.counter("runner.executed").inc(len(pending))
         session.counter("runner.cache.hits").inc(hits)
         session.counter("runner.cache.misses").inc(len(pending))
-        session.counter("runner.batched").inc(len(batched))
 
     return [result for result in results if result is not None]
 

@@ -38,6 +38,28 @@ def rate_window():
 
 
 @pytest.fixture
+def fluid_engine(monkeypatch):
+    """``select(engine)``: make the fluid backend run its simulators on
+    ``engine`` (``"scalar"`` is the dt-by-dt reference loop). Runner
+    specs carry no engine option, so tests pick the oracle here."""
+    from repro.runner import backends
+
+    def select(engine):
+        build = backends.build_fluid_scenario_sim
+
+        def build_on_engine(*args):
+            sim, jobs = build(*args)
+            sim.engine = engine
+            return sim, jobs
+
+        monkeypatch.setattr(
+            backends, "build_fluid_scenario_sim", build_on_engine
+        )
+
+    return select
+
+
+@pytest.fixture
 def capacity():
     """Reference link capacity used across tests."""
     return CAPACITY

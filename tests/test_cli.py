@@ -16,7 +16,6 @@ class TestParser:
         assert args.artifact == "figure3"
         assert args.jobs == 1
         assert args.no_cache is False
-        assert args.no_batch is False
 
     def test_run_jobs_and_no_cache(self):
         args = build_parser().parse_args(
@@ -25,11 +24,10 @@ class TestParser:
         assert args.jobs == 8
         assert args.no_cache is True
 
-    def test_no_batch_is_the_only_batch_switch(self):
-        args = build_parser().parse_args(["run", "sweep", "--no-batch"])
-        assert args.no_batch is True
+    @pytest.mark.parametrize("flag", ["--no-batch", "--batch"])
+    def test_batch_switches_rejected(self, flag):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "sweep", "--batch"])
+            build_parser().parse_args(["run", "sweep", flag])
 
     def test_cache_command(self):
         args = build_parser().parse_args(["cache", "--clear"])

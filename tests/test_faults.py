@@ -32,15 +32,15 @@ from repro.faults import (
     capacity_windows,
     single_link,
 )
+from repro.net.topology import BOTTLENECK
 from repro.runner import (
-    RunnerConfig,
     RunSpec,
     ScenarioSpec,
     SenderSpec,
+    execute,
     run_many,
-    using,
 )
-from repro.telemetry.session import Telemetry, use
+from repro.runner.backends import dumbbell_topology
 from repro.units import gbps, ms
 from repro.workloads.job import JobSpec
 
@@ -308,26 +308,12 @@ class TestSeededDeterminism:
 
     @pytest.mark.parametrize("make", [_fluid_spec, _phase_spec])
     def test_worker_fanout_byte_identical(self, make):
-        # Batching off on both sides, so jobs=4 goes through the
-        # process pool and jobs=1 through the in-process loop.
+        # jobs=4 goes through the process pool and jobs=1 through the
+        # in-process loop.
         specs = [make() for _ in range(4)]
-        session = Telemetry(name="fanout-test")
-        with use(session), using(RunnerConfig(batch=False)):
-            serial = run_many(specs, jobs=1, cache=False)
-            parallel = run_many(specs, jobs=4, cache=False)
-        assert int(session.counter("runner.batched").value) == 0
+        serial = run_many(specs, jobs=1, cache=False)
+        parallel = run_many(specs, jobs=4, cache=False)
         for left, right in zip(serial, parallel):
-            assert _fingerprint(left) == _fingerprint(right)
-
-    def test_batched_matches_worker_fanout(self):
-        specs = [_fluid_spec() for _ in range(4)]
-        session = Telemetry(name="fanout-test")
-        with use(session):
-            batched = run_many(specs, jobs=4, cache=False)
-        assert int(session.counter("runner.batched").value) == 4
-        with using(RunnerConfig(batch=False)):
-            pooled = run_many(specs, jobs=4, cache=False)
-        for left, right in zip(batched, pooled):
             assert _fingerprint(left) == _fingerprint(right)
 
     def test_cache_round_trip_replays_faulted_run(self, tmp_path):
@@ -342,3 +328,34 @@ class TestSeededDeterminism:
         )[0]
         assert _fingerprint(first) == _fingerprint(second)
         assert list(tmp_path.glob("*.json"))
+
+
+class TestPhaseFaultWindows:
+    def test_run_cut_inside_window_restores_capacity(self):
+        # ``until`` stops the run before the window's end event fires;
+        # the caller's topology (and so the spec's hash) must still
+        # read the base capacity afterwards.
+        topology = dumbbell_topology(2, 12.5e9)
+        spec = RunSpec(
+            backend="phase",
+            seed=0,
+            jobs=tuple(
+                JobSpec(f"J{i + 1}", ms(10), ms(5) * 12.5e9)
+                for i in range(2)
+            ),
+            policy=FairSharing(),
+            n_iterations=50,
+            topology=topology,
+            until=0.1,
+            faults=InjectionSchedule(events=(
+                RateChange(BOTTLENECK, 0.05, 1.0, 0.2),
+            )),
+        )
+        before = spec.content_hash()
+        result = execute(spec)
+        assert result.phase.duration == pytest.approx(0.1)
+        [link] = [
+            link for link in topology.links if link.name == BOTTLENECK
+        ]
+        assert link.capacity == 12.5e9
+        assert spec.content_hash() == before

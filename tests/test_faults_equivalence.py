@@ -7,10 +7,12 @@ fast-forward truncating at every window boundary — and each must
 preserve the guarantee: same sampled series, same timelines, and the
 same number of random draws (so downstream randomness is unshifted).
 
-AIMD has no fast path. Its single-bottleneck loop must equal its fabric
-loop on a one-link dumbbell, and its fault windows must do what they
-model: a failed link holds every rate, a storm drains the queue with no
-arrivals, and the base capacity comes back after the run.
+AIMD has no fast path. Its topology-free run (a one-link fabric whose
+windows come from ``capacity_windows``) must equal a one-link dumbbell
+topology (``link_capacity_windows``), and its fault windows must do
+what they model: a failed link holds every rate, a storm drains the
+queue with no arrivals, and the base capacity comes back after the
+run.
 """
 
 import numpy as np
@@ -104,8 +106,8 @@ def _dcqcn(engine, faults):
 
 
 def _aimd(faults, one_link=False):
-    """Three AIMD jobs on the bottleneck; ``one_link`` runs them on the
-    fabric loop over a one-link dumbbell instead."""
+    """Three AIMD jobs on the bottleneck; ``one_link`` routes them over
+    a one-link dumbbell topology instead."""
     topology, route = None, ()
     if one_link:
         topology = Topology.dumbbell(bottleneck_capacity=mbps(400))
@@ -180,7 +182,7 @@ class TestDcqcnFaultEquivalence:
 
 
 class TestAimdFaultEquivalence:
-    """Single-bottleneck loop == fabric loop on a one-link dumbbell."""
+    """Topology-free run == one-link dumbbell topology, under faults."""
 
     @pytest.mark.parametrize(
         "name", ["rate-spike", "link-failure", "pfc-storm", "job-warps"]

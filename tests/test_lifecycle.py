@@ -458,13 +458,14 @@ class TestStarvedJobsAcrossTiers:
         self.check_empty(execute(spec).timelines()["J1"])
 
     @pytest.mark.parametrize("engine", ["scalar", "vector"])
-    def test_fluid_backend(self, engine):
+    def test_fluid_backend(self, engine, fluid_engine):
+        fluid_engine(engine)
         spec = RunSpec(
             backend="fluid",
             seed=0,
             capacity=gbps(50),
             duration=0.03,
-            options=(("dt", 20e-6), ("engine", engine)),
+            options=(("dt", 20e-6),),
             scenarios=(
                 ScenarioSpec(
                     "only",

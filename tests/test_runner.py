@@ -12,6 +12,7 @@ import pickle
 import pytest
 
 from repro import io
+from repro.cc.dcqcn import AGGRESSIVE_TIMER, DEFAULT_TIMER
 from repro.core.timeline import IterationSample, JobTimeline
 from repro.errors import ConfigError
 from repro.experiments import sweep
@@ -375,12 +376,76 @@ class TestCache:
         assert store.stats()["entries"] == 0
 
 
+def fluid_specs(n=3, seed=0):
+    """Fair-then-unfair fluid specs: two scenarios over shared streams."""
+    def lineup(name, timer_j1):
+        return ScenarioSpec(
+            name,
+            (
+                SenderSpec(name="J1", timer=timer_j1),
+                SenderSpec(name="J2", timer=DEFAULT_TIMER),
+            ),
+        )
+
+    return [
+        RunSpec(
+            backend="fluid",
+            label=f"fluid-test-{k}",
+            seed=derive_seed(seed, f"fluid-test:{k}"),
+            duration=0.004,
+            options=(("dt", 10e-6),),
+            scenarios=(
+                lineup("fair", DEFAULT_TIMER),
+                lineup("unfair", AGGRESSIVE_TIMER),
+            ),
+        )
+        for k in range(n)
+    ]
+
+
+class TestFluidBackend:
+    def test_multi_scenario_cache_round_trip(self, tmp_path):
+        specs = fluid_specs()
+        session = Telemetry(name="fluid-test")
+        with use(session):
+            first = run_many(specs, cache=True, cache_dir=tmp_path)
+            second = run_many(specs, cache=True, cache_dir=tmp_path)
+        assert canonical(first) == canonical(second)
+        assert int(session.counter("runner.cache.hits").value) == 3
+
+    def test_fully_cached_grid_never_opens_pool(
+        self, tmp_path, monkeypatch
+    ):
+        """A 100%-hit ``jobs=4`` run spawns zero workers."""
+        from repro.runner import parallel
+
+        specs = fluid_specs()
+        fresh = run_many(specs, cache=True, cache_dir=tmp_path)
+
+        class PoolBomb:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError(
+                    "process pool opened on a fully cached run"
+                )
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", PoolBomb)
+        replayed = run_many(specs, jobs=4, cache=True, cache_dir=tmp_path)
+        assert canonical(replayed) == canonical(fresh)
+
+    @pytest.mark.parametrize("key", ["engine", "pfc_threshold"])
+    def test_unknown_option_rejected(self, key):
+        spec = fluid_specs(n=1)[0].replace(
+            options=(("dt", 10e-6), (key, "vector"))
+        )
+        with pytest.raises(ConfigError, match=key):
+            execute(spec)
+
+
 class TestRunnerConfig:
     def test_default_is_serial_uncached(self):
         config = current_config()
         assert config.jobs == 1
         assert config.cache is False
-        assert config.batch is True
 
     def test_using_installs_and_restores(self, tmp_path):
         config = RunnerConfig(jobs=3, cache=True, cache_dir=tmp_path)
@@ -432,7 +497,7 @@ class TestFabricBackends:
         ),
     }
 
-    def _fluid_spec(self, engine, faults=None):
+    def _fluid_spec(self, faults=None):
         senders = tuple(
             SenderSpec(
                 name=name,
@@ -450,23 +515,17 @@ class TestFabricBackends:
             topology=Topology.fat_tree(4),
             duration=0.02,
             scenarios=(ScenarioSpec(name="fabric", senders=senders),),
-            options=(("dt", 10e-6), ("engine", engine)),
+            options=(("dt", 10e-6),),
             faults=faults,
         )
 
     # -- fluid ---------------------------------------------------------
 
-    def test_fluid_fabric_engines_agree(self):
-        scalar = execute(self._fluid_spec("scalar"))
-        vector = execute(self._fluid_spec("vector"))
-        docs = []
-        for result in (scalar, vector):
-            document = io.run_result_to_dict(result)
-            # The engine choice rides in options, so the spec hashes
-            # (correctly) differ; the payloads must not.
-            document.pop("spec_hash")
-            docs.append(json.dumps(document, sort_keys=True))
-        assert docs[0] == docs[1]
+    def test_fluid_fabric_engines_agree(self, fluid_engine):
+        vector = execute(self._fluid_spec())
+        fluid_engine("scalar")
+        scalar = execute(self._fluid_spec())
+        assert canonical([scalar]) == canonical([vector])
         trace = vector.scenario("fabric").trace
         assert "core_1_0_0_rev" in trace.link_queue_series
 
@@ -474,12 +533,12 @@ class TestFabricBackends:
         faults = InjectionSchedule(events=(
             LinkFailure("up_0_0_0", 0.005, 0.008),
         ))
-        clean = execute(self._fluid_spec("vector"))
-        faulted = execute(self._fluid_spec("vector", faults=faults))
+        clean = execute(self._fluid_spec())
+        faulted = execute(self._fluid_spec(faults=faults))
         assert canonical([clean]) != canonical([faulted])
 
     def test_fabric_spec_round_trips_and_caches(self, tmp_path):
-        spec = self._fluid_spec("vector")
+        spec = self._fluid_spec()
         assert spec.cacheable()
         clone = io.run_spec_from_dict(io.run_spec_to_dict(spec))
         assert clone.content_hash() == spec.content_hash()

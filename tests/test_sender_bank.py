@@ -5,9 +5,9 @@ be *bit-identical* to the dt-by-dt scalar reference — same sampled
 series, same random draws, same timelines — which is a stronger
 guarantee than the shared ``repro.floats`` tolerances the rest of the
 suite uses. These tests pin that, plus the sample-grid alignment and
-the engine-selection plumbing. AIMD has one per-tick loop per mode;
-its single-bottleneck loop must match its fabric loop on a one-link
-dumbbell bit for bit.
+the engine-selection plumbing. AIMD has one per-tick loop; without a
+topology it runs on a one-link fabric around its queue, which must
+match a one-link dumbbell topology bit for bit.
 """
 
 import numpy as np
@@ -384,8 +384,9 @@ class TestEngineSelection:
 
 
 class TestAimdEquivalence:
-    """The single-bottleneck loop equals the fabric loop on a one-link
-    dumbbell whose every route is ``("L1",)``."""
+    """The topology-free run (one-link fabric around ``sim.queue``)
+    equals a one-link dumbbell topology whose every route is
+    ``("L1",)``."""
 
     def _build(self, one_link):
         topology, route = None, ()
