@@ -37,10 +37,7 @@ from ..core.timeline import JobTimeline
 from ..errors import ConfigError, SimulationError
 from ..faults.events import InjectionSchedule  # simlint: disable=ARCH001 - CC tiers execute fault warps inline for bit-equivalence; shared types pending a layer move
 from ..faults.runtime import (  # simlint: disable=ARCH001 - same inversion as above
-    MODE_FREEZE,
-    MODE_NORMAL,
     build_warp,
-    capacity_windows,
     emit_fault_events,
     single_link,
 )
@@ -503,8 +500,9 @@ class DcqcnFluidSimulator:
         bottleneck as a one-link fabric, a topology through the fabric
         :class:`repro.cc.link_engine.LinkSenderBank` attaches — which
         produces bit-identical traces. Source types the bank does not
-        recognize fall back to the scalar reference loop automatically;
-        ``engine="scalar"`` forces it.
+        recognize fall back to the scalar reference loop
+        (:func:`repro.cc.link_engine.run_scalar_fabric`, on the same
+        fabric) automatically; ``engine="scalar"`` forces it.
         """
         check_duration(duration)
         if not self.senders:
@@ -521,13 +519,16 @@ class DcqcnFluidSimulator:
                 bank = LinkSenderBank.build(self)
             if bank is not None:
                 return bank.run(duration)
-        if self.topology is None:
-            return self._run_scalar(duration)
         from .link_engine import build_fabric, run_scalar_fabric
+        from .sender_bank import LinkFabric
 
+        if self.topology is None:
+            return run_scalar_fabric(
+                self, LinkFabric.bottleneck(self), duration
+            )
         if self.fabric is None:
             self.fabric = build_fabric(self)
-        return run_scalar_fabric(self, duration)
+        return run_scalar_fabric(self, self.fabric, duration)
 
     def _install_fault_warps(self) -> None:
         """Attach per-job warps (stragglers, skew, latency spikes) once.
@@ -550,120 +551,6 @@ class DcqcnFluidSimulator:
                 warp = build_warp(self.faults, sender.name, links)
                 if warp is not None:
                     sender.install_warp(warp)
-
-    def _set_capacity(self, capacity: float) -> None:
-        """Point both capacity views at the window's effective value."""
-        self.capacity = capacity
-        self.queue.capacity = capacity
-
-    def _run_scalar(self, duration: float) -> DcqcnResult:
-        """The dt-by-dt reference loop (``engine="scalar"``)."""
-        result = DcqcnResult(duration=duration)
-        steps = int(round(duration / self.dt))
-        samples_every = max(1, int(round(self.sample_interval / self.dt)))
-        samples = _SampleBuffer()
-        base_capacity = self.capacity
-        for window in capacity_windows(
-            self.faults, steps, self.dt, base_capacity
-        ):
-            if window.mode == MODE_NORMAL:
-                self._set_capacity(window.capacity)
-                self._scalar_span(
-                    window.start, window.end, samples_every, samples
-                )
-            elif window.mode == MODE_FREEZE:
-                # Link failed: nothing behind it moves — senders, queue
-                # and activation clockwork all hold their state.
-                self._scalar_freeze(
-                    window.start, window.end, samples_every, samples
-                )
-            else:
-                # PFC storm: forced pause-step semantics regardless of
-                # queue thresholds; the queue drains at base capacity.
-                self._set_capacity(window.capacity)
-                self._scalar_storm(
-                    window.start, window.end, samples_every, samples
-                )
-        self._set_capacity(base_capacity)
-        samples.flush(
-            result, [s.name for s in self.senders], self.telemetry
-        )
-        if self.telemetry.enabled:
-            steps_counter = self.telemetry.counter("cc.steps")
-            steps_counter.inc(steps)
-            cnp_counter = self.telemetry.counter("cc.cnps")
-            for sender in self.senders:
-                cnp_counter.inc(getattr(sender, "cnps_received", 0))
-        result.timelines = {
-            sender.name: sender.timeline
-            for sender in self.senders
-            if isinstance(sender, OnOffSource)
-        }
-        return result
-
-    def _scalar_span(
-        self, start: int, end: int, samples_every: int, samples: _SampleBuffer
-    ) -> None:
-        """The regular per-tick loop over ticks ``[start, end)``."""
-        for step_index in range(start, end):
-            now = step_index * self.dt
-            self._update_pfc()
-            p_mark = self.marker.marking_probability(self.queue.occupancy)
-            arrival = 0.0
-            if self.pfc_paused:
-                # Upstream is paused; the queue only drains. Sender rate
-                # machines idle (no bytes, no marks) for the step.
-                self.pfc_pause_seconds += self.dt
-            else:
-                for sender in self.senders:
-                    arrival += sender.step(now, self.dt, p_mark)
-            self.queue.step(arrival / self.dt if self.dt > 0 else 0.0, self.dt)
-            if (step_index + 1) % samples_every == 0:
-                # Samples land on the sample_interval grid: the state
-                # after tick k covers simulated time (k+1) * dt.
-                samples.snapshot(
-                    (step_index + 1) * self.dt,
-                    self.senders,
-                    [self.queue.occupancy],
-                )
-
-    def _scalar_freeze(
-        self, start: int, end: int, samples_every: int, samples: _SampleBuffer
-    ) -> None:
-        """Failed-link ticks: state holds, only sample rows are emitted."""
-        for step_index in range(start, end):
-            if (step_index + 1) % samples_every == 0:
-                samples.snapshot(
-                    (step_index + 1) * self.dt,
-                    self.senders,
-                    [self.queue.occupancy],
-                )
-
-    def _scalar_storm(
-        self, start: int, end: int, samples_every: int, samples: _SampleBuffer
-    ) -> None:
-        """PFC-storm ticks: senders idle while the queue drains."""
-        for step_index in range(start, end):
-            self.pfc_pause_seconds += self.dt
-            self.queue.step(0.0, self.dt)
-            if (step_index + 1) % samples_every == 0:
-                samples.snapshot(
-                    (step_index + 1) * self.dt,
-                    self.senders,
-                    [self.queue.occupancy],
-                )
-
-    def _update_pfc(self) -> None:
-        if self.pfc_pause_threshold is None:
-            return
-        if not self.pfc_paused and (
-            self.queue.occupancy >= self.pfc_pause_threshold
-        ):
-            self.pfc_paused = True
-        elif self.pfc_paused and (
-            self.queue.occupancy <= self.pfc_resume_threshold
-        ):
-            self.pfc_paused = False
 
 
 def calibrate_timer_weights(

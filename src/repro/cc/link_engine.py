@@ -13,7 +13,9 @@ storming.
 The engine pair shares one contract, exactly as on the single link:
 
 * :func:`run_scalar_fabric` — the dt-by-dt reference loop over live
-  sender objects. This defines the semantics.
+  sender objects. This defines the semantics, on a topology and on the
+  single bottleneck (the one-link fabric
+  :meth:`~repro.cc.sender_bank.LinkFabric.bottleneck`) alike.
 * :class:`LinkSenderBank` — the entry point of the one DCQCN vector
   engine, :class:`repro.cc.sender_bank.SenderBank`, for a topology: it
   attaches the simulator's :class:`~repro.cc.sender_bank.LinkFabric`
@@ -57,8 +59,11 @@ def build_fabric(sim) -> LinkFabric:
 # Scalar reference
 # ---------------------------------------------------------------------------
 
-def run_scalar_fabric(sim, duration: float):
-    """The dt-by-dt multi-link reference loop; defines the semantics.
+def run_scalar_fabric(sim, fabric: LinkFabric, duration: float):
+    """The dt-by-dt reference loop over ``fabric``; defines the semantics
+    for every topology (the single bottleneck is the one-link fabric of
+    :meth:`LinkFabric.bottleneck`, whose PFC state is written back to
+    ``sim.pfc_paused``).
 
     Per tick, in order: (1) per-link PFC hysteresis on normal-mode
     links; (2) per-link marking probability; (3) senders in insertion
@@ -69,11 +74,10 @@ def run_scalar_fabric(sim, duration: float):
     paused/storming links accrue pause time and drain, normal links
     integrate their arrivals.
     """
-    fabric = sim.fabric
     dt = sim.dt
     steps = int(round(duration / dt))
     samples_every = max(1, int(round(sim.sample_interval / dt)))
-    samples = _SampleBuffer(fabric.names)
+    samples = _SampleBuffer(None if fabric.is_bottleneck else fabric.names)
     result = DcqcnResult(duration=duration)
     marker = sim.marker
     queues = fabric.queues
@@ -138,6 +142,8 @@ def run_scalar_fabric(sim, duration: float):
                     [queue.occupancy for queue in queues],
                 )
     fabric.restore()
+    if fabric.is_bottleneck:
+        sim.pfc_paused = paused[0]
     samples.flush(result, [s.name for s in sim.senders], sim.telemetry)
     if sim.telemetry.enabled:
         sim.telemetry.counter("cc.steps").inc(steps)

@@ -14,9 +14,8 @@ marking randomness pre-drawn in chunks from each sender's generator
 (:class:`UniformChunks`). Three mechanisms make it fast while keeping
 every observable output (rate series, queue series, job timelines,
 bytes/remaining, CNP counts, RNG stream position, PFC pause time)
-*bit-identical* to the scalar reference loop of the simulator's
-topology — ``DcqcnFluidSimulator._run_scalar`` on the bottleneck,
-:func:`repro.cc.link_engine.run_scalar_fabric` on a fabric:
+*bit-identical* to the scalar reference loop
+:func:`repro.cc.link_engine.run_scalar_fabric` over the same fabric:
 
 * **Deterministic span advancement** — a tick is deterministic when no
   CNP can possibly arrive on it: on every link either the queue sits at

@@ -31,6 +31,7 @@ from .. import io
 from ..telemetry import current
 from ..analysis.report import ascii_table
 from ..cc.adaptive import AdaptiveUnfair
+from ..core.timeline import JobTimeline
 from ..net.routing import Router
 from ..net.topology import Topology
 from ..runner import RunSpec, run_many
@@ -158,7 +159,7 @@ def _report_from_data(data: Dict[str, object]) -> ClusterReport:
         slowdown=dict(data["slowdown"]),
         policy_name=str(data["policy_name"]),
         timelines={
-            job_id: io.timeline_from_dict(document)
+            job_id: io.from_dict(JobTimeline, document)
             for job_id, document in data.get("timelines", {}).items()
         },
     )

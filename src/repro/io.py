@@ -1,184 +1,447 @@
 """JSON serialization for workloads, circles, results and telemetry.
 
-Lets operators exchange profiled workloads and verdicts between tools:
-job specs and circles round-trip losslessly (circles are integer data);
-compatibility results serialize with their certificates so a deployment
-can re-verify them before trusting them. Telemetry traces round-trip as
-JSONL (one record per line) so recorded runs can be summarized, diffed
-and replayed by the ``repro-experiments stats`` / ``trace`` commands.
+Job specs, circles (exact integer data), compatibility verdicts with
+their certificates, run specs and run results round-trip losslessly.
+Telemetry traces round-trip as JSONL (one record per line) for the
+``repro-experiments stats`` / ``trace`` commands.
+
+One codec, :func:`to_dict` / :func:`from_dict`, covers every object:
+registered dataclasses go field by field through their type hints, and
+the types that are not plain dataclasses have a custom pair. The type
+set is closed: an unregistered class, a subclass of a registered one
+included, raises :class:`ConfigError` (so a spec holding one is not
+cacheable), and so does every decoding failure.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import typing
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Union
+from typing import Any, Callable, Dict, List, Sequence, Union
 
 import numpy as np
 
 from .cc.adaptive import AdaptiveUnfair
+from .cc.base import SharePolicy
+from .cc.dcqcn import DcqcnResult
 from .cc.fair import FairSharing
 from .cc.priority import PrioritySharing
 from .cc.weighted import StaticWeighted
 from .core.circle import JobCircle
 from .core.compatibility import CompatibilityResult
-from .core.lifecycle import JobState
+from .core.lifecycle import Gate, JobState
 from .core.timeline import JobTimeline
 from .errors import ConfigError
-from .faults.events import EVENT_KINDS, InjectionSchedule
+from .faults.events import EVENT_KINDS, FaultEventT, InjectionSchedule
 from .mechanisms.flow_scheduling import PeriodicGate
 from .net.phasesim import JobRun, SimulationResult
 from .net.topology import NodeKind, Topology
+from .runner.spec import FluidScenarioResult, RunResult, RunSpec
+from .runner.spec import ScenarioSpec, SenderSpec
 from .sim.trace import StepFunction, TimeSeries
 from .telemetry.trace import TraceRecord
 from .workloads.job import JobSpec
 
-#: Format tag embedded in every document.
+#: Format tag embedded in every top-level document.
 FORMAT_VERSION = 1
 
+_PathLike = Union[str, Path]
 
-# ---------------------------------------------------------------------------
-# JobSpec
-# ---------------------------------------------------------------------------
+#: Dataclasses encoded field by field and decoded through type hints.
+_FIELDWISE = (
+    JobSpec, CompatibilityResult, InjectionSchedule, *EVENT_KINDS.values(),
+    SimulationResult, DcqcnResult, SenderSpec, ScenarioSpec, RunSpec,
+    FluidScenarioResult, RunResult,
+)
+#: Documents that carry the ``"version"`` format tag.
+_VERSIONED = frozenset({
+    JobSpec, CompatibilityResult, InjectionSchedule, RunSpec, RunResult,
+    Topology, JobCircle,
+})
+#: Fields written only when non-empty, so documents (and spec hashes)
+#: from before the field existed stay byte-identical.
+_OMIT_EMPTY = frozenset({
+    (JobSpec, "segments"),
+    (SenderSpec, "route"),
+    (DcqcnResult, "link_queue_series"),
+})
+#: Fault events: their documents carry the ``"kind"`` tag.
+_TAGGED = frozenset(EVENT_KINDS.values())
+#: What a malformed document raises inside the decoders.
+_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+#: Forward references in the runner's dataclasses.
+_LOCALNS = {"SharePolicy": SharePolicy, "DcqcnResult": DcqcnResult}
 
-def job_spec_to_dict(spec: JobSpec) -> Dict[str, Any]:
-    """Serialize a job spec to plain data."""
-    data: Dict[str, Any] = {
-        "version": FORMAT_VERSION,
-        "job_id": spec.job_id,
-        "compute_time": spec.compute_time,
-        "comm_bytes": spec.comm_bytes,
-        "model_name": spec.model_name,
-        "batch_size": spec.batch_size,
-        "compute_jitter": spec.compute_jitter,
-        "n_workers": spec.n_workers,
-    }
-    if spec.segments:
-        data["segments"] = [list(segment) for segment in spec.segments]
+
+def to_dict(obj: Any) -> Dict[str, Any]:
+    """Serialize an object of a registered type to JSON-able data; any
+    other type, a subclass of a registered one included, raises
+    :class:`ConfigError`."""
+    cls = type(obj)
+    document = {"version": FORMAT_VERSION} if cls in _VERSIONED else {}
+    if cls in _CUSTOM_ENCODERS:
+        document.update(_CUSTOM_ENCODERS[cls](obj))
+        return document
+    if cls not in _FIELDWISE:
+        raise ConfigError(f"cannot serialize an object of type {cls.__name__}")
+    for name, hook, omit_empty in _encode_plan(cls):
+        value = getattr(obj, name)
+        if hook is not None:
+            document[name] = hook(value)
+        elif value or not omit_empty:
+            document[name] = _encode(value)
+    if cls in _TAGGED:
+        document["kind"] = cls.kind
+    return document
+
+
+def from_dict(cls: Any, data: Any) -> Any:
+    """Deserialize ``data`` as ``cls`` — a registered type, or the
+    ``SharePolicy``/``Gate``/``FaultEventT`` a spec field names. Any
+    malformed document or unregistered type raises :class:`ConfigError`.
+    """
+    try:
+        return _converter(cls)(data)
+    except _MALFORMED as exc:
+        name = getattr(cls, "__name__", cls)
+        raise ConfigError(f"bad {name} document: {exc!r}") from exc
+
+
+def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
+    """:func:`to_dict` under its own name, so it can be timed alone."""
+    return to_dict(result)
+
+
+def run_result_from_dict(data: Dict[str, Any]) -> RunResult:
+    """:func:`from_dict` under its own name, so it can be timed alone."""
+    return from_dict(RunResult, data)
+
+
+@functools.lru_cache(maxsize=None)
+def _encode_plan(cls: type) -> tuple:
+    """``(field name, hook, omit when empty)`` per field of ``cls``."""
+    return tuple(
+        (f.name, _ENCODE_HOOKS.get((cls, f.name)),
+         (cls, f.name) in _OMIT_EMPTY)
+        for f in dataclasses.fields(cls)
+    )
+
+
+def _encode(value: Any) -> Any:
+    """Primitives pass through, containers recurse, objects dispatch."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    return to_dict(value)
+
+
+def _check_version(data: Dict[str, Any]) -> Dict[str, Any]:
+    version = data.get("version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise ConfigError(f"unsupported format version {version} "
+                          f"(expected {FORMAT_VERSION})")
     return data
 
 
-def job_spec_from_dict(data: Dict[str, Any]) -> JobSpec:
-    """Deserialize a job spec.
+def _typed(*types: type) -> Callable[[Any], Any]:
+    """A check that passes values of ``types`` through unchanged."""
+    def check(value: Any) -> Any:
+        if not isinstance(value, types):
+            raise TypeError(f"expected {types[0].__name__}, got {value!r}")
+        return value
 
-    Raises:
-        ConfigError: on a missing field or unknown format version.
-    """
-    _check_version(data)
-    try:
-        return JobSpec(
-            job_id=data["job_id"],
-            compute_time=float(data["compute_time"]),
-            comm_bytes=float(data["comm_bytes"]),
-            model_name=data.get("model_name", ""),
-            batch_size=int(data.get("batch_size", 0)),
-            compute_jitter=float(data.get("compute_jitter", 0.0)),
-            n_workers=int(data.get("n_workers", 2)),
-            segments=tuple(
-                (float(c), float(b))
-                for c, b in data.get("segments", [])
-            ),
+    return check
+
+
+_to_bool, _to_str = _typed(bool), _typed(str)
+_sequence, _mapping = _typed(list, tuple), _typed(dict)
+
+
+@functools.lru_cache(maxsize=None)
+def _converter(hint: Any) -> Callable[[Any], Any]:
+    """The decoder of one type hint (cached, so hints resolve once)."""
+    scalar = {
+        Any: lambda value: value, float: float, int: int, bool: _to_bool,
+        str: _to_str,
+    }.get(hint)
+    if scalar is not None:
+        return scalar
+    if hint in _CUSTOM_DECODERS or hint in _FIELDWISE:
+        decode = _CUSTOM_DECODERS.get(hint) or _fieldwise_decoder(hint)
+        if hint not in _VERSIONED:
+            return decode
+        return lambda data: decode(_check_version(_mapping(data)))
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union and len(args) == 2 and type(None) in args:
+        inner = _converter(args[0] if args[1] is type(None) else args[1])
+        return lambda value: None if value is None else inner(value)
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        item = _converter(args[0])
+        return lambda value: tuple(item(v) for v in _sequence(value))
+    if origin is tuple:
+        items = [_converter(arg) for arg in args]
+        return lambda value: tuple(
+            item(v) for item, v in zip(items, _sequence(value), strict=True)
         )
-    except KeyError as exc:
-        raise ConfigError(f"missing field in job spec: {exc}") from exc
+    if origin is list:
+        item = _converter(args[0])
+        return lambda value: [item(v) for v in _sequence(value)]
+    if origin is dict:
+        key, item = _converter(args[0]), _converter(args[1])
+        return lambda v: {key(k): item(x) for k, x in _mapping(v).items()}
+    raise ConfigError(f"no codec for type {hint!r}")
 
 
-# ---------------------------------------------------------------------------
-# JobCircle
-# ---------------------------------------------------------------------------
+def _fieldwise_decoder(cls: type) -> Callable[[Any], Any]:
+    hints = typing.get_type_hints(cls, localns=_LOCALNS)
+    plan = [(
+        f.name,
+        _DECODE_HOOKS.get((cls, f.name)) or _converter(hints[f.name]),
+        f.default is f.default_factory is dataclasses.MISSING,
+    ) for f in dataclasses.fields(cls)]
 
-def circle_to_dict(circle: JobCircle) -> Dict[str, Any]:
-    """Serialize a circle (exact: integers only)."""
-    return {
-        "version": FORMAT_VERSION,
+    def decode(data: Any) -> Any:
+        kwargs = {}
+        _mapping(data)
+        for name, convert, required in plan:
+            if name in data:
+                kwargs[name] = convert(data[name])
+            elif required:
+                raise ConfigError(
+                    f"missing field {name!r} in {cls.__name__} document"
+                )
+        return cls(**kwargs)
+
+    return decode
+
+
+def _encode_option(value: Any) -> Any:
+    """One backend option value as JSON-able data: mappings get string
+    keys and job specs a tag, so that they round-trip."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, JobSpec):
+        return {"__jobspec__": to_dict(value)}
+    if isinstance(value, (list, tuple)):
+        return [_encode_option(item) for item in value]
+    if isinstance(value, dict):
+        return {str(k): _encode_option(v) for k, v in value.items()}
+    raise ConfigError(f"cannot serialize option value of type "
+                      f"{type(value).__name__}")
+
+
+def _decode_option(value: Any) -> Any:
+    if isinstance(value, dict):
+        if "__jobspec__" in value:
+            return _converter(JobSpec)(value["__jobspec__"])
+        return {k: _decode_option(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_decode_option(item) for item in value]
+    return value
+
+
+_ENCODE_HOOKS: Dict[tuple, Callable[[Any], Any]] = {
+    (RunSpec, "options"): lambda options: [
+        [key, _encode_option(value)] for key, value in options
+    ],
+    # An empty schedule is the documented no-op, bit-identical to no
+    # schedule at all — normalize it to null so clean and zero-event
+    # specs share one content hash (and cache entry).
+    (RunSpec, "faults"): lambda faults: (
+        None if faults is None or faults.is_empty else to_dict(faults)
+    ),
+    # Backend adapters keep ``data`` JSON-able by construction.
+    (RunResult, "data"): lambda data: data,
+}
+
+_DECODE_HOOKS: Dict[tuple, Callable[[Any], Any]] = {
+    (RunSpec, "options"): lambda options: tuple(
+        (_to_str(key), _decode_option(value))
+        for key, value in _sequence(options)
+    ),
+    (RunResult, "data"): dict,
+}
+
+
+# -- custom pairs: the types that are not plain dataclasses --------------
+
+#: Share policies: kind tag and ``(document key = constructor argument,
+#: attribute, type)`` rows.
+_POLICIES: Dict[type, tuple] = {
+    FairSharing: ("fair", ()),
+    StaticWeighted: ("static-weighted", (
+        ("weights", "weights", Dict[str, float]),
+        ("default", "default_weight", float),
+    )),
+    AdaptiveUnfair: ("adaptive-unfair", tuple((name, name, float) for name in (
+        "gain", "exponent", "base_weight", "reallocation_interval"
+    ))),
+    PrioritySharing: ("priority", (
+        ("priorities", "priorities", Dict[str, int]),
+        ("default", "default_priority", int),
+    )),
+}
+_POLICY_KINDS = {kind: cls for cls, (kind, _) in _POLICIES.items()}
+
+
+def _policy_to_dict(policy: SharePolicy) -> Dict[str, Any]:
+    kind, rows = _POLICIES[type(policy)]
+    fields = {key: getattr(policy, attribute) for key, attribute, _ in rows}
+    return {"kind": kind, **fields}
+
+
+def _kind(data: Any, kinds: Dict[str, Any], what: str) -> Any:
+    """The entry of ``kinds`` that ``data``'s ``"kind"`` tag names."""
+    kind = _mapping(data).get("kind")
+    if kind not in kinds:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    return kinds[kind]
+
+
+def _policy_from_dict(data: Dict[str, Any]) -> SharePolicy:
+    cls = _kind(data, _POLICY_KINDS, "policy")
+    return cls(**{
+        key: _converter(hint)(data[key])
+        for key, _, hint in _POLICIES[cls][1]
+        if key in data
+    })
+
+
+def _topology_from_dict(data: Dict[str, Any]) -> Topology:
+    """Exact inverse: every directed link is explicit."""
+    topology = Topology()
+    for name, kind in data["nodes"]:
+        topology.add_node(name, NodeKind(kind))
+    for src, dst, capacity, name in data["links"]:
+        topology.add_link(
+            src, dst, float(capacity), name=name, bidirectional=False
+        )
+    return topology
+
+
+def _step_function_from_dict(data: Dict[str, Any]) -> StepFunction:
+    """Breakpoints are restored verbatim (not replayed through ``set``,
+    whose no-op skipping could drop an overwrite-created breakpoint)."""
+    fn = StepFunction(float(data["initial"]), name=data.get("name", ""))
+    fn._times = [float(t) for t, _ in data["points"]]
+    fn._values = [float(v) for _, v in data["points"]]
+    return fn
+
+
+def _time_series_from_dict(data: Dict[str, Any]) -> TimeSeries:
+    series = TimeSeries(name=data.get("name", ""))
+    series._times = [float(t) for t in data["times"]]
+    series._values = [float(v) for v in data["values"]]
+    return series
+
+
+def _job_run_from_dict(data: Dict[str, Any]) -> JobRun:
+    """A result container: no flows, no gate, no rng."""
+    run = JobRun(
+        spec=_converter(JobSpec)(data["spec"]), flows=[], gate=None,
+        n_iterations=int(data["n_iterations"]),
+        start_offset=float(data["start_offset"]),
+        rng=np.random.default_rng(0),
+    )
+    run.state = JobState(data["state"])
+    run.lifecycle.timeline = _converter(JobTimeline)(data["timeline"])
+    run.rate_trace = _step_function_from_dict(data["rate_trace"])
+    return run
+
+
+_CUSTOM_ENCODERS: Dict[type, Callable[[Any], Dict[str, Any]]] = {
+    # Nodes and directed links, in insertion order.
+    Topology: lambda topology: {
+        "nodes": [[node.name, node.kind.value] for node in topology.nodes],
+        "links": [
+            [link.src, link.dst, link.capacity, link.name]
+            for link in topology.links
+        ],
+    },
+    # Exact: integers only.
+    JobCircle: lambda circle: {
         "job_id": circle.job_id,
         "perimeter": circle.perimeter,
         "comm_arcs": [
             [start, end - start] for start, end in circle.comm.intervals
         ],
         "demand": circle.demand,
-    }
+    },
+    **dict.fromkeys(_POLICIES, _policy_to_dict),
+    PeriodicGate: lambda gate: {"kind": "periodic", **gate.to_state()},
+    # Via the minimal breakpoint list.
+    StepFunction: lambda fn: {
+        "name": fn.name,
+        "initial": fn._initial,
+        "points": [list(pair) for pair in fn.breakpoints()],
+    },
+    TimeSeries: lambda series: {
+        "name": series.name,
+        "times": list(series._times),
+        "values": list(series._values),
+    },
+    JobTimeline: lambda timeline: {
+        "job_id": timeline.job_id, "samples": timeline.to_rows(),
+    },
+    # A completed run; flows, gate and rng are not carried.
+    JobRun: lambda run: {
+        "spec": to_dict(run.spec),
+        "n_iterations": run.n_iterations,
+        "start_offset": run.start_offset,
+        "state": run.state.value,
+        "timeline": to_dict(run.timeline),
+        "rate_trace": to_dict(run.rate_trace),
+    },
+}
+
+_CUSTOM_DECODERS: Dict[Any, Callable[[Any], Any]] = {
+    Topology: _topology_from_dict,
+    JobCircle: lambda data: JobCircle.from_arcs(
+        _to_str(data["job_id"]),
+        int(data["perimeter"]),
+        [(int(s), int(length)) for s, length in data["comm_arcs"]],
+        demand=float(data.get("demand", 1.0)),
+    ),
+    SharePolicy: _policy_from_dict,
+    **dict.fromkeys((Gate, PeriodicGate), lambda data: _kind(
+        data, {"periodic": PeriodicGate}, "gate"
+    ).from_state(data)),
+    FaultEventT: lambda data: _converter(
+        _kind(data, EVENT_KINDS, "fault event")
+    )(data),
+    StepFunction: _step_function_from_dict,
+    TimeSeries: _time_series_from_dict,
+    JobTimeline: lambda data: JobTimeline.from_rows(
+        _to_str(data["job_id"]), _sequence(data["samples"])
+    ),
+    JobRun: _job_run_from_dict,
+}
 
 
-def circle_from_dict(data: Dict[str, Any]) -> JobCircle:
-    """Deserialize a circle."""
-    _check_version(data)
-    try:
-        return JobCircle.from_arcs(
-            data["job_id"],
-            int(data["perimeter"]),
-            [(int(s), int(length)) for s, length in data["comm_arcs"]],
-            demand=float(data.get("demand", 1.0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing field in circle: {exc}") from exc
+# -- files: workloads, telemetry traces (JSONL) and run manifests --------
 
-
-# ---------------------------------------------------------------------------
-# CompatibilityResult
-# ---------------------------------------------------------------------------
-
-def result_to_dict(result: CompatibilityResult) -> Dict[str, Any]:
-    """Serialize a compatibility verdict with its certificate."""
-    return {
-        "version": FORMAT_VERSION,
-        "compatible": result.compatible,
-        "rotations": dict(result.rotations),
-        "overlap_ticks": result.overlap_ticks,
-        "unified_perimeter": result.unified_perimeter,
-        "utilization": result.utilization,
-        "certified": result.certified,
-        "method": result.method,
-        "job_ids": list(result.job_ids),
-    }
-
-
-def result_from_dict(data: Dict[str, Any]) -> CompatibilityResult:
-    """Deserialize a compatibility verdict."""
-    _check_version(data)
-    try:
-        return CompatibilityResult(
-            compatible=bool(data["compatible"]),
-            rotations={k: int(v) for k, v in data["rotations"].items()},
-            overlap_ticks=int(data["overlap_ticks"]),
-            unified_perimeter=int(data["unified_perimeter"]),
-            utilization=float(data["utilization"]),
-            certified=bool(data["certified"]),
-            method=data["method"],
-            job_ids=list(data["job_ids"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing field in result: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Files
-# ---------------------------------------------------------------------------
-
-def save_workload(
-    specs: Sequence[JobSpec], path: Union[str, Path]
-) -> None:
+def save_workload(specs: Sequence[JobSpec], path: _PathLike) -> None:
     """Write a list of job specs to a JSON file."""
-    document = {
-        "version": FORMAT_VERSION,
-        "jobs": [job_spec_to_dict(spec) for spec in specs],
-    }
+    jobs = [to_dict(spec) for spec in specs]
+    document = {"version": FORMAT_VERSION, "jobs": jobs}
     Path(path).write_text(json.dumps(document, indent=2))
 
 
-def load_workload(path: Union[str, Path]) -> List[JobSpec]:
-    """Read a list of job specs from a JSON file."""
+def load_workload(path: _PathLike) -> List[JobSpec]:
+    """Read a list of job specs from a JSON file; a bad version, a
+    missing ``jobs`` field or a malformed job raises ConfigError."""
     document = json.loads(Path(path).read_text())
     _check_version(document)
     if "jobs" not in document:
         raise ConfigError("workload file has no 'jobs' field")
-    return [job_spec_from_dict(entry) for entry in document["jobs"]]
+    return [from_dict(JobSpec, entry) for entry in document["jobs"]]
 
-
-# ---------------------------------------------------------------------------
-# Telemetry traces (JSONL) and run manifests
-# ---------------------------------------------------------------------------
 
 def trace_to_jsonl(records: Sequence[TraceRecord]) -> str:
     """Serialize trace records to JSONL text.
@@ -231,651 +494,25 @@ def trace_from_jsonl(text: str) -> List[TraceRecord]:
     return records
 
 
-def save_trace(
-    records: Sequence[TraceRecord], path: Union[str, Path]
-) -> None:
+def save_trace(records: Sequence[TraceRecord], path: _PathLike) -> None:
     """Write trace records to a JSONL file."""
     Path(path).write_text(trace_to_jsonl(records))
 
 
-def load_trace(path: Union[str, Path]) -> List[TraceRecord]:
+def load_trace(path: _PathLike) -> List[TraceRecord]:
     """Read trace records from a JSONL file."""
     return trace_from_jsonl(Path(path).read_text())
 
 
-def save_manifest(data: Dict[str, Any], path: Union[str, Path]) -> None:
+def save_manifest(data: Dict[str, Any], path: _PathLike) -> None:
     """Write a run manifest (adds the format version)."""
     document = {"version": FORMAT_VERSION, **data}
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=True))
 
 
-def load_manifest(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read a run manifest.
-
-    Raises:
-        ConfigError: on an unknown format version.
-    """
+def load_manifest(path: _PathLike) -> Dict[str, Any]:
+    """Read a run manifest; an unknown format version raises
+    ConfigError."""
     document = json.loads(Path(path).read_text())
     _check_version(document)
     return document
-
-
-# ---------------------------------------------------------------------------
-# Topology
-# ---------------------------------------------------------------------------
-
-def topology_to_dict(topology: Topology) -> Dict[str, Any]:
-    """Serialize a topology (nodes and directed links, insertion order)."""
-    return {
-        "version": FORMAT_VERSION,
-        "nodes": [[node.name, node.kind.value] for node in topology.nodes],
-        "links": [
-            [link.src, link.dst, link.capacity, link.name]
-            for link in topology.links
-        ],
-    }
-
-
-def topology_from_dict(data: Dict[str, Any]) -> Topology:
-    """Deserialize a topology (exact: every directed link is explicit)."""
-    _check_version(data)
-    topology = Topology()
-    try:
-        for name, kind in data["nodes"]:
-            topology.add_node(name, NodeKind(kind))
-        for src, dst, capacity, name in data["links"]:
-            topology.add_link(
-                src, dst, float(capacity), name=name, bidirectional=False
-            )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad topology document: {exc}") from exc
-    return topology
-
-
-# ---------------------------------------------------------------------------
-# Share policies
-# ---------------------------------------------------------------------------
-
-def policy_to_dict(policy: Any) -> Dict[str, Any]:
-    """Serialize one of the library's share policies.
-
-    Raises:
-        ConfigError: for policy types the codec does not know — such
-            specs are executable but not cacheable.
-    """
-    if isinstance(policy, FairSharing):
-        return {"kind": "fair"}
-    if isinstance(policy, StaticWeighted):
-        return {
-            "kind": "static-weighted",
-            "weights": policy.weights,
-            "default": policy.default_weight,
-        }
-    if isinstance(policy, AdaptiveUnfair):
-        return {
-            "kind": "adaptive-unfair",
-            "gain": policy.gain,
-            "exponent": policy.exponent,
-            "base_weight": policy.base_weight,
-            "reallocation_interval": policy.reallocation_interval,
-        }
-    if isinstance(policy, PrioritySharing):
-        return {
-            "kind": "priority",
-            "priorities": policy.priorities,
-            "default": policy.default_priority,
-        }
-    raise ConfigError(
-        f"cannot serialize policy of type {type(policy).__name__}"
-    )
-
-
-def policy_from_dict(data: Dict[str, Any]) -> Any:
-    """Deserialize a share policy."""
-    kind = data.get("kind")
-    if kind == "fair":
-        return FairSharing()
-    if kind == "static-weighted":
-        return StaticWeighted(
-            {k: float(v) for k, v in data["weights"].items()},
-            default=float(data.get("default", 1.0)),
-        )
-    if kind == "adaptive-unfair":
-        return AdaptiveUnfair(
-            gain=float(data["gain"]),
-            exponent=float(data["exponent"]),
-            base_weight=float(data["base_weight"]),
-            reallocation_interval=float(data["reallocation_interval"]),
-        )
-    if kind == "priority":
-        return PrioritySharing(
-            {k: int(v) for k, v in data["priorities"].items()},
-            default=int(data.get("default", 0)),
-        )
-    raise ConfigError(f"unknown policy kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Gates
-# ---------------------------------------------------------------------------
-
-def gate_to_dict(gate: Any) -> Dict[str, Any]:
-    """Serialize a flow-scheduling gate (periodic gates only)."""
-    if isinstance(gate, PeriodicGate):
-        return {"kind": "periodic", **gate.to_state()}
-    raise ConfigError(
-        f"cannot serialize gate of type {type(gate).__name__}"
-    )
-
-
-def gate_from_dict(data: Dict[str, Any]) -> PeriodicGate:
-    """Deserialize a flow-scheduling gate."""
-    if data.get("kind") != "periodic":
-        raise ConfigError(f"unknown gate kind {data.get('kind')!r}")
-    return PeriodicGate.from_state(data)
-
-
-# ---------------------------------------------------------------------------
-# Fault injection schedules
-# ---------------------------------------------------------------------------
-
-def fault_event_to_dict(event: Any) -> Dict[str, Any]:
-    """Serialize one fault event, tagged with its ``kind``."""
-    kind = getattr(event, "kind", None)
-    if kind not in EVENT_KINDS or not isinstance(event, EVENT_KINDS[kind]):
-        raise ConfigError(
-            f"cannot serialize fault event of type {type(event).__name__}"
-        )
-    data = {
-        field.name: getattr(event, field.name)
-        for field in dataclasses.fields(event)
-    }
-    data["kind"] = kind
-    return data
-
-
-def fault_event_from_dict(data: Dict[str, Any]) -> Any:
-    """Deserialize one kind-tagged fault event."""
-    kind = data.get("kind")
-    try:
-        cls = EVENT_KINDS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown fault event kind {kind!r}") from None
-    fields = {
-        field.name: data[field.name] for field in dataclasses.fields(cls)
-    }
-    return cls(**fields)
-
-
-def injection_schedule_to_dict(
-    schedule: InjectionSchedule,
-) -> Dict[str, Any]:
-    """Serialize a fault injection schedule."""
-    return {
-        "version": FORMAT_VERSION,
-        "horizon": schedule.horizon,
-        "events": [
-            fault_event_to_dict(event) for event in schedule.events
-        ],
-    }
-
-
-def injection_schedule_from_dict(
-    data: Dict[str, Any],
-) -> InjectionSchedule:
-    """Deserialize a fault injection schedule (re-validates it)."""
-    _check_version(data)
-    try:
-        return InjectionSchedule(
-            events=tuple(
-                fault_event_from_dict(entry)
-                for entry in data["events"]
-            ),
-            horizon=(
-                None if data.get("horizon") is None
-                else float(data["horizon"])
-            ),
-        )
-    except KeyError as exc:
-        raise ConfigError(
-            f"missing field in injection schedule: {exc}"
-        ) from exc
-
-
-# ---------------------------------------------------------------------------
-# Time series and step functions
-# ---------------------------------------------------------------------------
-
-def step_function_to_dict(fn: StepFunction) -> Dict[str, Any]:
-    """Serialize a step function via its minimal breakpoint list."""
-    return {
-        "name": fn.name,
-        "initial": fn._initial,
-        "points": [list(pair) for pair in fn.breakpoints()],
-    }
-
-
-def step_function_from_dict(data: Dict[str, Any]) -> StepFunction:
-    """Exact inverse of :func:`step_function_to_dict`.
-
-    Breakpoints are restored verbatim (not replayed through ``set``,
-    whose no-op skipping could drop an overwrite-created breakpoint).
-    """
-    fn = StepFunction(float(data["initial"]), name=data.get("name", ""))
-    fn._times = [float(t) for t, _ in data["points"]]
-    fn._values = [float(v) for _, v in data["points"]]
-    return fn
-
-
-def time_series_to_dict(series: TimeSeries) -> Dict[str, Any]:
-    """Serialize an irregular time series."""
-    return {
-        "name": series.name,
-        "times": list(series._times),
-        "values": list(series._values),
-    }
-
-
-def time_series_from_dict(data: Dict[str, Any]) -> TimeSeries:
-    """Deserialize an irregular time series."""
-    series = TimeSeries(name=data.get("name", ""))
-    series._times = [float(t) for t in data["times"]]
-    series._values = [float(v) for v in data["values"]]
-    return series
-
-
-# ---------------------------------------------------------------------------
-# Timelines and phase-level results
-# ---------------------------------------------------------------------------
-
-def timeline_to_dict(timeline: JobTimeline) -> Dict[str, Any]:
-    """Serialize a canonical job timeline (compact sample rows)."""
-    return {
-        "job_id": timeline.job_id,
-        "samples": timeline.to_rows(),
-    }
-
-
-def timeline_from_dict(data: Dict[str, Any]) -> JobTimeline:
-    """Deserialize a canonical job timeline."""
-    try:
-        return JobTimeline.from_rows(data["job_id"], data["samples"])
-    except KeyError as exc:
-        raise ConfigError(f"missing field in timeline: {exc}") from exc
-
-
-def job_run_to_dict(run: JobRun) -> Dict[str, Any]:
-    """Serialize a completed job run (flows/gate/rng are not carried)."""
-    return {
-        "spec": job_spec_to_dict(run.spec),
-        "n_iterations": run.n_iterations,
-        "start_offset": run.start_offset,
-        "state": run.state.value,
-        "timeline": timeline_to_dict(run.timeline),
-        "rate_trace": step_function_to_dict(run.rate_trace),
-    }
-
-
-def job_run_from_dict(data: Dict[str, Any]) -> JobRun:
-    """Deserialize a job run (as a result container: no flows, no rng)."""
-    run = JobRun(
-        spec=job_spec_from_dict(data["spec"]),
-        flows=[],
-        n_iterations=int(data["n_iterations"]),
-        start_offset=float(data["start_offset"]),
-        gate=None,
-        rng=np.random.default_rng(0),
-    )
-    run.state = JobState(data["state"])
-    run.lifecycle.timeline = timeline_from_dict(data["timeline"])
-    run.rate_trace = step_function_from_dict(data["rate_trace"])
-    return run
-
-
-def simulation_result_to_dict(result: SimulationResult) -> Dict[str, Any]:
-    """Serialize a phase-level simulation result."""
-    return {
-        "jobs": {
-            job_id: job_run_to_dict(run)
-            for job_id, run in sorted(result.jobs.items())
-        },
-        "link_loads": {
-            name: step_function_to_dict(fn)
-            for name, fn in sorted(result.link_loads.items())
-        },
-        "duration": result.duration,
-    }
-
-
-def simulation_result_from_dict(data: Dict[str, Any]) -> SimulationResult:
-    """Deserialize a phase-level simulation result."""
-    return SimulationResult(
-        jobs={
-            job_id: job_run_from_dict(entry)
-            for job_id, entry in data["jobs"].items()
-        },
-        link_loads={
-            name: step_function_from_dict(entry)
-            for name, entry in data["link_loads"].items()
-        },
-        duration=float(data["duration"]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fluid (DCQCN) results
-# ---------------------------------------------------------------------------
-
-def dcqcn_result_to_dict(result: Any) -> Dict[str, Any]:
-    """Serialize a :class:`repro.cc.dcqcn.DcqcnResult`.
-
-    The per-link queue series of fabric runs are emitted only when
-    present, so single-bottleneck result documents are byte-identical
-    to the pre-fabric format.
-    """
-    document = {
-        "rate_series": {
-            name: time_series_to_dict(series)
-            for name, series in sorted(result.rate_series.items())
-        },
-        "queue_series": time_series_to_dict(result.queue_series),
-        "duration": result.duration,
-        "timelines": {
-            name: timeline_to_dict(timeline)
-            for name, timeline in sorted(result.timelines.items())
-        },
-    }
-    if result.link_queue_series:
-        document["link_queue_series"] = {
-            name: time_series_to_dict(series)
-            for name, series in sorted(result.link_queue_series.items())
-        }
-    return document
-
-
-def dcqcn_result_from_dict(data: Dict[str, Any]) -> Any:
-    """Deserialize a DCQCN fluid result."""
-    from .cc.dcqcn import DcqcnResult
-
-    return DcqcnResult(
-        rate_series={
-            name: time_series_from_dict(entry)
-            for name, entry in data["rate_series"].items()
-        },
-        queue_series=time_series_from_dict(data["queue_series"]),
-        duration=float(data["duration"]),
-        timelines={
-            name: timeline_from_dict(entry)
-            for name, entry in data.get("timelines", {}).items()
-        },
-        link_queue_series={
-            name: time_series_from_dict(entry)
-            for name, entry in data.get("link_queue_series", {}).items()
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# Run specs and results
-# ---------------------------------------------------------------------------
-
-def _encode_option(value: Any) -> Any:
-    """Encode one backend option value as JSON-able data.
-
-    Primitives pass through; sequences become lists; mappings keep
-    string keys; job specs are tagged so they round-trip.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, JobSpec):
-        return {"__jobspec__": job_spec_to_dict(value)}
-    if isinstance(value, (list, tuple)):
-        return [_encode_option(item) for item in value]
-    if isinstance(value, dict):
-        return {str(k): _encode_option(v) for k, v in value.items()}
-    raise ConfigError(
-        f"cannot serialize option value of type {type(value).__name__}"
-    )
-
-
-def _decode_option(value: Any) -> Any:
-    if isinstance(value, dict):
-        if "__jobspec__" in value:
-            return job_spec_from_dict(value["__jobspec__"])
-        return {k: _decode_option(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode_option(item) for item in value]
-    return value
-
-
-def sender_spec_to_dict(sender: Any) -> Dict[str, Any]:
-    """Serialize a fluid-backend sender spec.
-
-    ``route`` is emitted only when set: routeless (single-bottleneck)
-    sender documents — and therefore existing spec content hashes —
-    stay byte-identical to the pre-fabric format.
-    """
-    document = {
-        "name": sender.name,
-        "timer": sender.timer,
-        "data_bytes": sender.data_bytes,
-        "compute_time": sender.compute_time,
-        "comm_bytes": sender.comm_bytes,
-        "start_offset": sender.start_offset,
-        "stream": sender.stream,
-    }
-    if sender.route:
-        document["route"] = list(sender.route)
-    return document
-
-
-def sender_spec_from_dict(data: Dict[str, Any]) -> Any:
-    """Deserialize a fluid-backend sender spec."""
-    from .runner.spec import SenderSpec
-
-    return SenderSpec(
-        name=data["name"],
-        timer=float(data["timer"]),
-        data_bytes=(
-            None if data.get("data_bytes") is None
-            else float(data["data_bytes"])
-        ),
-        compute_time=(
-            None if data.get("compute_time") is None
-            else float(data["compute_time"])
-        ),
-        comm_bytes=(
-            None if data.get("comm_bytes") is None
-            else float(data["comm_bytes"])
-        ),
-        start_offset=float(data.get("start_offset", 0.0)),
-        stream=data.get("stream", ""),
-        route=tuple(data.get("route", ())),
-    )
-
-
-def run_spec_to_dict(spec: Any) -> Dict[str, Any]:
-    """Serialize a :class:`repro.runner.spec.RunSpec`.
-
-    Raises:
-        ConfigError: when the spec holds something the codecs cannot
-            express (ad-hoc gates, unknown policies, odd option values).
-    """
-    return {
-        "version": FORMAT_VERSION,
-        "backend": spec.backend,
-        "label": spec.label,
-        "seed": spec.seed,
-        "jobs": [job_spec_to_dict(job) for job in spec.jobs],
-        "policy": (
-            None if spec.policy is None else policy_to_dict(spec.policy)
-        ),
-        "topology": (
-            None if spec.topology is None
-            else topology_to_dict(spec.topology)
-        ),
-        "n_iterations": spec.n_iterations,
-        "capacity": spec.capacity,
-        "start_offsets": [
-            [job_id, offset] for job_id, offset in spec.start_offsets
-        ],
-        "gates": [
-            [job_id, gate_to_dict(gate)] for job_id, gate in spec.gates
-        ],
-        "until": spec.until,
-        "duration": spec.duration,
-        "scenarios": [
-            {
-                "name": scenario.name,
-                "senders": [
-                    sender_spec_to_dict(sender)
-                    for sender in scenario.senders
-                ],
-            }
-            for scenario in spec.scenarios
-        ],
-        "options": [
-            [key, _encode_option(value)] for key, value in spec.options
-        ],
-        "backend_module": spec.backend_module,
-        # An empty schedule is the documented no-op, bit-identical to
-        # no schedule at all — normalize it to null so clean and
-        # zero-event specs share one content hash (and cache entry).
-        "faults": (
-            None if spec.faults is None or spec.faults.is_empty
-            else injection_schedule_to_dict(spec.faults)
-        ),
-    }
-
-
-def run_spec_from_dict(data: Dict[str, Any]) -> Any:
-    """Deserialize a run spec."""
-    from .runner.spec import RunSpec, ScenarioSpec
-
-    _check_version(data)
-    return RunSpec(
-        backend=data["backend"],
-        label=data.get("label", ""),
-        seed=int(data.get("seed", 0)),
-        jobs=tuple(
-            job_spec_from_dict(entry) for entry in data.get("jobs", [])
-        ),
-        policy=(
-            None if data.get("policy") is None
-            else policy_from_dict(data["policy"])
-        ),
-        topology=(
-            None if data.get("topology") is None
-            else topology_from_dict(data["topology"])
-        ),
-        n_iterations=int(data.get("n_iterations", 0)),
-        capacity=float(data.get("capacity", 0.0)),
-        start_offsets=tuple(
-            (job_id, float(offset))
-            for job_id, offset in data.get("start_offsets", [])
-        ),
-        gates=tuple(
-            (job_id, gate_from_dict(entry))
-            for job_id, entry in data.get("gates", [])
-        ),
-        until=(
-            None if data.get("until") is None else float(data["until"])
-        ),
-        duration=float(data.get("duration", 0.0)),
-        scenarios=tuple(
-            ScenarioSpec(
-                name=entry["name"],
-                senders=tuple(
-                    sender_spec_from_dict(sender)
-                    for sender in entry["senders"]
-                ),
-            )
-            for entry in data.get("scenarios", [])
-        ),
-        options=tuple(
-            (key, _decode_option(value))
-            for key, value in data.get("options", [])
-        ),
-        backend_module=data.get("backend_module", ""),
-        faults=(
-            None if data.get("faults") is None
-            else injection_schedule_from_dict(data["faults"])
-        ),
-    )
-
-
-def fluid_scenario_result_to_dict(scenario: Any) -> Dict[str, Any]:
-    """Serialize one fluid scenario result."""
-    return {
-        "trace": dcqcn_result_to_dict(scenario.trace),
-        "timelines": {
-            name: timeline_to_dict(timeline)
-            for name, timeline in sorted(scenario.timelines.items())
-        },
-    }
-
-
-def fluid_scenario_result_from_dict(data: Dict[str, Any]) -> Any:
-    """Deserialize one fluid scenario result."""
-    from .runner.spec import FluidScenarioResult
-
-    return FluidScenarioResult(
-        trace=dcqcn_result_from_dict(data["trace"]),
-        timelines={
-            name: timeline_from_dict(entry)
-            for name, entry in data["timelines"].items()
-        },
-    )
-
-
-def run_result_to_dict(result: Any) -> Dict[str, Any]:
-    """Serialize a :class:`repro.runner.spec.RunResult`.
-
-    The ``data`` payload must already be JSON-able; backend adapters
-    keep it that way by construction.
-    """
-    return {
-        "version": FORMAT_VERSION,
-        "spec_hash": result.spec_hash,
-        "backend": result.backend,
-        "label": result.label,
-        "phase": (
-            None if result.phase is None
-            else simulation_result_to_dict(result.phase)
-        ),
-        "fluid": {
-            name: fluid_scenario_result_to_dict(scenario)
-            for name, scenario in sorted(result.fluid.items())
-        },
-        "data": result.data,
-    }
-
-
-def run_result_from_dict(data: Dict[str, Any]) -> Any:
-    """Deserialize a run result."""
-    from .runner.spec import RunResult
-
-    _check_version(data)
-    return RunResult(
-        spec_hash=data["spec_hash"],
-        backend=data["backend"],
-        label=data.get("label", ""),
-        phase=(
-            None if data.get("phase") is None
-            else simulation_result_from_dict(data["phase"])
-        ),
-        fluid={
-            name: fluid_scenario_result_from_dict(entry)
-            for name, entry in data.get("fluid", {}).items()
-        },
-        data=dict(data.get("data", {})),
-    )
-
-
-def _check_version(data: Dict[str, Any]) -> None:
-    version = data.get("version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise ConfigError(
-            f"unsupported format version {version} (expected "
-            f"{FORMAT_VERSION})"
-        )

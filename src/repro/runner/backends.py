@@ -354,7 +354,7 @@ class ClusterBackend:
                 "solo_ms": dict(report.solo_ms),
                 "slowdown": dict(report.slowdown),
                 "timelines": {
-                    job_id: io.timeline_to_dict(timeline)
+                    job_id: io.to_dict(timeline)
                     for job_id, timeline in report.timelines.items()
                 },
             },

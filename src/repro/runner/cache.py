@@ -91,7 +91,7 @@ class ResultCache:
         try:
             document = {
                 "cache_version": CACHE_VERSION,
-                "spec": io.run_spec_to_dict(spec),
+                "spec": io.to_dict(spec),
                 "result": io.run_result_to_dict(result),
                 "telemetry": telemetry,
             }

@@ -179,7 +179,7 @@ class RunSpec:
         """
         from .. import io
 
-        document = io.run_spec_to_dict(self)
+        document = io.to_dict(self)
         document.pop("label", None)
         canonical = json.dumps(
             document, sort_keys=True, separators=(",", ":")
@@ -300,7 +300,7 @@ class RunResult:
             from .. import io
 
             return {
-                job_id: io.timeline_from_dict(document)
+                job_id: io.from_dict(JobTimeline, document)
                 for job_id, document in payload.items()
             }
         raise ConfigError(

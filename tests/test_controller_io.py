@@ -11,18 +11,12 @@ from repro.analysis.bootstrap import (
 from repro.cc.adaptive import AdaptiveUnfair
 from repro.cc.priority import PrioritySharing
 from repro.core.circle import JobCircle
-from repro.core.compatibility import CompatibilityChecker
-from repro.errors import ConfigError, SimulationError
-from repro.io import (
-    circle_from_dict,
-    circle_to_dict,
-    job_spec_from_dict,
-    job_spec_to_dict,
-    load_workload,
-    result_from_dict,
-    result_to_dict,
-    save_workload,
+from repro.core.compatibility import (
+    CompatibilityChecker,
+    CompatibilityResult,
 )
+from repro.errors import ConfigError, SimulationError
+from repro.io import from_dict, load_workload, save_workload, to_dict
 from repro.mechanisms.controller import (
     CongestionFreeController,
     Mechanism,
@@ -140,20 +134,20 @@ class TestIo:
             "j", ms(100), ms(50) * CAP, model_name="vgg19",
             batch_size=1200, compute_jitter=0.02, n_workers=8,
         )
-        assert job_spec_from_dict(job_spec_to_dict(spec)) == spec
+        assert from_dict(JobSpec, to_dict(spec)) == spec
 
     def test_multi_phase_spec_roundtrip(self):
         spec = JobSpec.multi_phase(
             "mp", [(ms(50), ms(20) * CAP), (ms(30), ms(15) * CAP)]
         )
-        restored = job_spec_from_dict(job_spec_to_dict(spec))
+        restored = from_dict(JobSpec, to_dict(spec))
         assert restored.segments == spec.segments
 
     def test_circle_roundtrip(self):
         circle = JobCircle.from_arcs(
             "c", 255, [(141, 100), (245, 10)], demand=0.7
         )
-        restored = circle_from_dict(circle_to_dict(circle))
+        restored = from_dict(JobCircle, to_dict(circle))
         assert restored.comm == circle.comm
         assert restored.demand == circle.demand
 
@@ -163,7 +157,7 @@ class TestIo:
             JobSpec("a", ms(210), ms(90) * CAP),
             JobSpec("b", ms(210), ms(90) * CAP),
         ])
-        restored = result_from_dict(result_to_dict(result))
+        restored = from_dict(CompatibilityResult, to_dict(result))
         assert restored == result
 
     def test_workload_file_roundtrip(self, tmp_path):
@@ -177,11 +171,11 @@ class TestIo:
 
     def test_missing_field_rejected(self):
         with pytest.raises(ConfigError):
-            job_spec_from_dict({"version": 1})
+            from_dict(JobSpec, {"version": 1})
 
     def test_unknown_version_rejected(self):
         with pytest.raises(ConfigError):
-            job_spec_from_dict({"version": 99, "job_id": "x"})
+            from_dict(JobSpec, {"version": 99, "job_id": "x"})
 
     def test_workload_file_without_jobs_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

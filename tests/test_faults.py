@@ -32,6 +32,7 @@ from repro.faults import (
     capacity_windows,
     single_link,
 )
+from repro.faults.events import FaultEventT
 from repro.net.topology import BOTTLENECK
 from repro.runner import (
     RunSpec,
@@ -220,19 +221,19 @@ class TestCodec:
 
     def test_schedule_round_trip(self):
         schedule = self.schedule()
-        data = io.injection_schedule_to_dict(schedule)
+        data = io.to_dict(schedule)
         json.dumps(data)  # must be JSON-able
-        assert io.injection_schedule_from_dict(data) == schedule
+        assert io.from_dict(InjectionSchedule, data) == schedule
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
-            io.fault_event_from_dict({"kind": "meteor-strike"})
+            io.from_dict(FaultEventT, {"kind": "meteor-strike"})
 
     def test_run_spec_round_trip_and_hash(self):
         schedule = self.schedule()
         spec = RunSpec(backend="fluid", faults=schedule)
-        data = io.run_spec_to_dict(spec)
-        assert io.run_spec_from_dict(data).faults == schedule
+        data = io.to_dict(spec)
+        assert io.from_dict(RunSpec, data).faults == schedule
         # The schedule must be part of the content hash: a faulted and
         # a clean spec must never collide in the result cache.
         assert (
@@ -294,7 +295,7 @@ def _phase_spec(seed=3):
 
 def _fingerprint(result):
     return json.dumps(
-        io.run_result_to_dict(result), sort_keys=True,
+        io.to_dict(result), sort_keys=True,
         separators=(",", ":"),
     )
 

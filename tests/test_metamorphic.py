@@ -289,7 +289,7 @@ class TestZeroEventScheduleIsIdentity:
         clean = execute(spec)
         empty = execute(spec.replace(faults=InjectionSchedule()))
         fingerprint = lambda result: json.dumps(
-            io.run_result_to_dict(result),
+            io.to_dict(result),
             sort_keys=True,
             separators=(",", ":"),
         )

@@ -13,7 +13,7 @@ from repro.core.circle import JobCircle
 from repro.core.cluster_compat import ClusterCompatibilityProblem
 from repro.core.rotation import CommWindow
 from repro.core.unified import UnifiedCircle
-from repro.io import job_spec_from_dict, job_spec_to_dict
+from repro.io import from_dict, to_dict
 from repro.mechanisms.flow_scheduling import PeriodicGate
 from repro.net.flows import Flow
 from repro.net.fluid import FluidAllocator
@@ -214,4 +214,4 @@ class TestIoProperties:
             compute_jitter=jitter,
             n_workers=workers,
         )
-        assert job_spec_from_dict(job_spec_to_dict(spec)) == spec
+        assert from_dict(JobSpec, to_dict(spec)) == spec

@@ -91,7 +91,7 @@ def cluster_fabric_spec(faults=None):
 def canonical(results):
     """Canonical JSON of results — the byte-identity yardstick."""
     return json.dumps(
-        [io.run_result_to_dict(result) for result in results],
+        [io.to_dict(result) for result in results],
         sort_keys=True,
     )
 
@@ -228,7 +228,7 @@ class TestTimelineSchema:
                     observed.start <= observed.comm_start <= observed.end
                 )
             # The codec preserves the schema bit-for-bit.
-            rebuilt = io.timeline_from_dict(io.timeline_to_dict(timeline))
+            rebuilt = io.from_dict(JobTimeline, io.to_dict(timeline))
             assert rebuilt.to_rows() == timeline.to_rows()
 
     def test_phase_fluid_cluster_share_schema(self):
@@ -343,8 +343,8 @@ class TestCache:
         store = ResultCache(tmp_path)
         entry = store.get(spec.content_hash())
         assert entry is not None
-        assert io.run_result_to_dict(entry.result) == (
-            io.run_result_to_dict(executed)
+        assert io.to_dict(entry.result) == (
+            io.to_dict(executed)
         )
 
     def test_corrupt_entry_heals_as_miss(self, tmp_path):
@@ -540,20 +540,20 @@ class TestFabricBackends:
     def test_fabric_spec_round_trips_and_caches(self, tmp_path):
         spec = self._fluid_spec()
         assert spec.cacheable()
-        clone = io.run_spec_from_dict(io.run_spec_to_dict(spec))
+        clone = io.from_dict(RunSpec, io.to_dict(spec))
         assert clone.content_hash() == spec.content_hash()
         first = run_many([spec], cache=True, cache_dir=tmp_path)
         second = run_many([spec], cache=True, cache_dir=tmp_path)
         assert canonical(second) == canonical(first)
 
     def test_routeless_sender_document_unchanged(self):
-        plain = io.sender_spec_to_dict(SenderSpec(name="a", timer=125e-6))
+        plain = io.to_dict(SenderSpec(name="a", timer=125e-6))
         assert "route" not in plain
-        routed = io.sender_spec_to_dict(
+        routed = io.to_dict(
             SenderSpec(name="a", timer=125e-6, route=("L1",))
         )
         assert routed["route"] == ["L1"]
-        clone = io.sender_spec_from_dict(routed)
+        clone = io.from_dict(SenderSpec, routed)
         assert clone.route == ("L1",)
 
     def test_fluid_without_topology_rejects_fabric_faults(self):
