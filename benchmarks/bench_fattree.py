@@ -4,7 +4,7 @@ Runs the fat-tree rotation workload (three DCQCN jobs on converging
 six-hop routes, see :mod:`repro.experiments.fattree`) through
 ``DcqcnFluidSimulator`` with both fabric engines, asserts every rate
 series, per-link queue series and iteration timeline is identical, and
-guards the speedup the vectorized ``LinkSenderBank`` must deliver over
+guards the speedup the vectorized ``SenderBank`` must deliver over
 the dt-by-dt scalar fabric loop. CI runs this as the fat-tree smoke leg
 and fails on any divergence.
 """

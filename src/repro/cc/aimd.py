@@ -16,17 +16,17 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from ..core.lifecycle import JobLifecycle, OnOffSource
 from ..core.timeline import JobTimeline
 from ..errors import ConfigError, SimulationError
-from ..faults.events import InjectionSchedule  # simlint: disable=ARCH001 - CC tiers execute fault warps inline for bit-equivalence; shared types pending a layer move
-from ..faults.runtime import (  # simlint: disable=ARCH001 - same inversion as above
-    MODE_FREEZE,
-    MODE_NORMAL,
-    build_warp,
-    single_link,
-)
+from ..faults.events import InjectionSchedule
+from ..faults.runtime import MODE_FREEZE, MODE_NORMAL
 from ..sim.trace import TimeSeries
 from ..switches.queues import FluidQueue
 from ..units import gbps, kib, mbps
-from .sender_bank import BOTTLENECK, LinkFabric
+from .sender_bank import (
+    LinkFabric,
+    check_fault_links,
+    check_route,
+    install_warps,
+)
 
 if TYPE_CHECKING:
     from ..net.topology import Topology
@@ -190,11 +190,13 @@ class AimdResult:
 class AimdFluidSimulator:
     """Fixed-step AIMD senders sharing one drop-tail bottleneck.
 
-    Passing ``topology`` switches to **multi-link fabric mode**: every
-    sender and job must then carry a ``route`` (a tuple of link names),
-    each link runs its own drop-tail queue at ``buffer_bytes``, and a
-    source backs off when *any* link on its route drops — the loss
-    analog of reacting to the most congested hop.
+    Without a topology the bottleneck is the dumbbell's one link ``L1``
+    (wrapping ``self.queue``); a fault schedule naming any other link is
+    rejected. Passing ``topology`` switches to **multi-link fabric
+    mode**: every sender and job must then carry a ``route`` (a tuple of
+    link names), each link runs its own drop-tail queue at
+    ``buffer_bytes``, and a source backs off when *any* link on its
+    route drops — the loss analog of reacting to the most congested hop.
     """
 
     def __init__(
@@ -214,11 +216,10 @@ class AimdFluidSimulator:
         self.dt = dt
         self.sample_interval = sample_interval
         self.faults = faults
-        self._fault_warps_installed = False
+        self.warps_installed = False
         self.topology = topology
         self.fabric = None
-        if topology is None:
-            single_link(faults)  # reject multi-link schedules up front
+        check_fault_links(self)
         self._senders: List[_AimdSender] = []
         self._jobs: List[OnOffAimdJob] = []
         self._sender_routes: List[Tuple[str, ...]] = []
@@ -231,7 +232,7 @@ class AimdFluidSimulator:
         route: Sequence[str] = (),
     ) -> None:
         """Register a long-lived AIMD sender."""
-        self._sender_routes.append(self._check_route(name, route))
+        self._sender_routes.append(check_route(self, name, route))
         self._senders.append(_AimdSender(name, params or AimdParams()))
 
     def add_job(
@@ -244,7 +245,7 @@ class AimdFluidSimulator:
         route: Sequence[str] = (),
     ) -> OnOffAimdJob:
         """Register an on-off training job under AIMD control."""
-        self._job_routes.append(self._check_route(name, route))
+        self._job_routes.append(check_route(self, name, route))
         job = OnOffAimdJob(
             name, params or AimdParams(), compute_time, comm_bytes,
             start_offset=start_offset,
@@ -252,36 +253,11 @@ class AimdFluidSimulator:
         self._jobs.append(job)
         return job
 
-    def _check_route(
-        self, name: str, route: Sequence[str]
-    ) -> Tuple[str, ...]:
-        route = tuple(route)
-        if self.topology is None:
-            if route:
-                raise ConfigError(
-                    f"sender {name!r} carries a route but the simulator "
-                    "has no topology; pass topology= to "
-                    "AimdFluidSimulator to enable multi-link routes"
-                )
-        else:
-            if not route:
-                raise ConfigError(
-                    f"sender {name!r} needs a route (tuple of link "
-                    "names) on a topology-backed simulator"
-                )
-            if len(set(route)) != len(route):
-                raise ConfigError(
-                    f"sender {name!r} route visits a link twice: {route}"
-                )
-            for link_name in route:
-                self.topology.link_by_name(link_name)  # raises if unknown
-        return route
-
     def run(self, duration: float) -> AimdResult:
         """Simulate ``duration`` seconds; plain senders always backlogged.
 
         One per-tick loop serves both modes: without a topology the
-        simulator is the one-link fabric whose link wraps
+        simulator is the one-link fabric whose link ``L1`` wraps
         ``self.queue``. Per tick: blocked links (failed, storming)
         silence every source routed across them — no arrivals, no
         grow/cut, rates held, jobs' activation clockwork deferred.
@@ -291,12 +267,13 @@ class AimdFluidSimulator:
         """
         if not self._senders and not self._jobs:
             raise SimulationError("add at least one sender before run()")
-        self._install_fault_warps()
+        sources = self._senders + self._jobs
+        routes = self._sender_routes + self._job_routes
+        install_warps(self, sources, routes)
         dt = self.dt
         steps = int(round(duration / dt))
         samples_every = max(1, int(round(self.sample_interval / dt)))
-        sources = self._senders + self._jobs
-        fabric = self._fabric(len(sources))
+        fabric = LinkFabric.of(self, routes, self.buffer_bytes)
         index_routes = fabric.routes
         n_senders = len(self._senders)
         queues = fabric.queues
@@ -363,41 +340,3 @@ class AimdFluidSimulator:
             )
         result.timelines = {job.name: job.timeline for job in self._jobs}
         return result
-
-    def _install_fault_warps(self) -> None:
-        """Attach per-job warps (stragglers, skew, latency spikes) once."""
-        if self.faults is None or self._fault_warps_installed:
-            return
-        self._fault_warps_installed = True
-        if self.topology is None:
-            link = single_link(self.faults)
-            default_links = (link,) if link is not None else ()
-            routes = [default_links] * len(self._jobs)
-        else:
-            routes = self._job_routes
-        for job, links in zip(self._jobs, routes):
-            warp = build_warp(self.faults, job.name, links)
-            if warp is not None:
-                job.install_warp(warp)
-
-    def _fabric(self, n_sources: int) -> LinkFabric:
-        """The links this run steps: without a topology, the one-link
-        fabric around ``self.queue`` that every source crosses; with
-        one, the routed (and fault-targeted) links, built on first use
-        so their queues carry over between runs."""
-        if self.topology is None:
-            return LinkFabric(
-                [BOTTLENECK], [self.capacity],
-                [(BOTTLENECK,)] * n_sources, [self.queue],
-                is_bottleneck=True,
-            )
-        if self.fabric is None:
-            extra = (
-                () if self.faults is None
-                else tuple(self.faults.link_names())
-            )
-            self.fabric = LinkFabric.from_topology(
-                self.topology, self._sender_routes + self._job_routes,
-                extra_links=extra, max_occupancy=self.buffer_bytes,
-            )
-        return self.fabric

@@ -35,11 +35,12 @@ import numpy as np
 from ..core.lifecycle import JobLifecycle, OnOffSource
 from ..core.timeline import JobTimeline
 from ..errors import ConfigError, SimulationError
-from ..faults.events import InjectionSchedule  # simlint: disable=ARCH001 - CC tiers execute fault warps inline for bit-equivalence; shared types pending a layer move
-from ..faults.runtime import (  # simlint: disable=ARCH001 - same inversion as above
-    build_warp,
+from ..faults.events import InjectionSchedule
+from ..faults.runtime import (
+    MODE_FREEZE,
+    MODE_NORMAL,
+    MODE_STORM,
     emit_fault_events,
-    single_link,
 )
 from ..sim.trace import TimeSeries
 from ..switches.ecn import RedEcnMarker
@@ -380,14 +381,16 @@ class DcqcnFluidSimulator:
     queue short enough that PFC rarely fires; the ``pfc_pause_seconds``
     counter measures how well it succeeds.
 
+    Without a topology the bottleneck is the one link ``L1`` of the
+    dumbbell (:data:`repro.net.topology.BOTTLENECK`), wrapping
+    ``self.queue``; a fault schedule naming any other link is rejected.
     Passing ``topology`` switches the simulator to **multi-link fabric
     mode**: every sender must then carry a ``route`` — a tuple of link
     names resolved against the topology (e.g. from
     :meth:`repro.net.topology.Topology.fat_tree`) — each link runs its
     own queue, marker and PFC state, and a sender reacts to the most
-    congested hop on its route (see :mod:`repro.cc.link_engine`). Fault
-    schedules may then target any named fabric link instead of just the
-    single bottleneck.
+    congested hop on its route (see :func:`run_scalar_fabric`). Fault
+    schedules may then target any named fabric link.
     """
 
     def __init__(
@@ -409,14 +412,17 @@ class DcqcnFluidSimulator:
             raise ConfigError(
                 f"engine must be 'scalar' or 'vector', got {engine!r}"
             )
+        from .sender_bank import check_fault_links
+
         self.engine = engine
         self.faults = faults
-        self._fault_warps_installed = False
+        self.warps_installed = False
         self.topology = topology
+        #: Each source's route as link names (``("L1",)`` without a
+        #: topology).
         self.routes: List[Tuple[str, ...]] = []
         self.fabric = None
-        if topology is None:
-            single_link(faults)  # reject multi-link schedules up front
+        check_fault_links(self)
         self.telemetry = _telemetry_session.resolve(telemetry)
         self.capacity = capacity
         self.marker = marker if marker is not None else RedEcnMarker()
@@ -457,7 +463,7 @@ class DcqcnFluidSimulator:
         traverses, in order, resolved against the simulator's topology.
         """
         sender = DcqcnSender(name, params, rng, data_bytes)
-        self._register(sender, route)
+        self.add_source(sender, route)
         return sender
 
     def add_source(self, source, route: Sequence[str] = ()) -> None:
@@ -465,92 +471,135 @@ class DcqcnFluidSimulator:
         (``name``, ``rate``, ``done``, ``step(now, dt, p)``) — e.g. an
         :class:`OnOffDcqcnJob`. In fabric mode ``route`` names the links
         the source's traffic traverses."""
-        self._register(source, route)
+        from .sender_bank import check_route
 
-    def _register(self, source, route: Sequence[str]) -> None:
-        route = tuple(route)
-        if self.topology is None:
-            if route:
-                raise ConfigError(
-                    f"sender {source.name!r} carries a route but the "
-                    "simulator has no topology; pass topology= to "
-                    "DcqcnFluidSimulator to enable multi-link routes"
-                )
-        else:
-            if not route:
-                raise ConfigError(
-                    f"sender {source.name!r} needs a route (tuple of "
-                    "link names) on a topology-backed simulator"
-                )
-            if len(set(route)) != len(route):
-                raise ConfigError(
-                    f"sender {source.name!r} route visits a link twice: "
-                    f"{route}"
-                )
-            for link_name in route:
-                self.topology.link_by_name(link_name)  # raises if unknown
+        self.routes.append(check_route(self, source.name, route))
         self.senders.append(source)
-        self.routes.append(route)
 
     def run(self, duration: float) -> DcqcnResult:
         """Simulate ``duration`` seconds and return sampled traces.
 
         With ``engine="vector"`` (the default) the run goes through the
-        :class:`repro.cc.sender_bank.SenderBank` fast path — the single
-        bottleneck as a one-link fabric, a topology through the fabric
-        :class:`repro.cc.link_engine.LinkSenderBank` attaches — which
-        produces bit-identical traces. Source types the bank does not
-        recognize fall back to the scalar reference loop
-        (:func:`repro.cc.link_engine.run_scalar_fabric`, on the same
-        fabric) automatically; ``engine="scalar"`` forces it.
+        :class:`repro.cc.sender_bank.SenderBank` fast path over the
+        simulator's :class:`~repro.cc.sender_bank.LinkFabric` (without a
+        topology, the one link ``L1``), which produces bit-identical
+        traces. Source types the bank does not recognize fall back to
+        the scalar reference loop (:func:`run_scalar_fabric`, on the
+        same fabric) automatically; ``engine="scalar"`` forces it.
         """
+        from .sender_bank import LinkFabric, SenderBank, install_warps
+
         check_duration(duration)
         if not self.senders:
             raise SimulationError("add at least one sender before run()")
-        self._install_fault_warps()
+        install_warps(self, self.senders, self.routes)
         emit_fault_events(self.telemetry, self.faults)
         if self.engine == "vector":
-            from .link_engine import LinkSenderBank
-            from .sender_bank import SenderBank
-
-            if self.topology is None:
-                bank = SenderBank.build(self)
-            else:
-                bank = LinkSenderBank.build(self)
+            bank = SenderBank.build(self)
             if bank is not None:
                 return bank.run(duration)
-        from .link_engine import build_fabric, run_scalar_fabric
-        from .sender_bank import LinkFabric
+        return run_scalar_fabric(
+            self, LinkFabric.of(self, self.routes), duration
+        )
 
-        if self.topology is None:
-            return run_scalar_fabric(
-                self, LinkFabric.bottleneck(self), duration
-            )
-        if self.fabric is None:
-            self.fabric = build_fabric(self)
-        return run_scalar_fabric(self, self.fabric, duration)
 
-    def _install_fault_warps(self) -> None:
-        """Attach per-job warps (stragglers, skew, latency spikes) once.
+def run_scalar_fabric(sim, fabric, duration: float) -> DcqcnResult:
+    """The dt-by-dt reference loop of :class:`DcqcnFluidSimulator` over
+    its :class:`~repro.cc.sender_bank.LinkFabric`; defines the semantics
+    on every topology (without one, the one-link fabric's PFC state is
+    written back to ``sim.pfc_paused``).
 
-        On the single bottleneck the schedule's one link (if any)
-        applies to every on-off job; on a fabric each job sees exactly
-        the links its route traverses.
-        """
-        if self.faults is None or self._fault_warps_installed:
-            return
-        self._fault_warps_installed = True
-        if self.topology is None:
-            link = single_link(self.faults)
-            default_links = (link,) if link is not None else ()
-            routes = [default_links] * len(self.senders)
-        else:
-            routes = self.routes
-        for sender, links in zip(self.senders, routes):
-            if isinstance(sender, OnOffSource):
-                warp = build_warp(self.faults, sender.name, links)
-                if warp is not None:
-                    sender.install_warp(warp)
+    Per tick, in order: (1) per-link PFC hysteresis on normal-mode
+    links; (2) per-link marking probability; (3) senders in insertion
+    order — a sender whose route crosses any blocked link (paused,
+    failed or storming) is skipped entirely, otherwise it steps under
+    the maximum marking probability along its route and its bytes land
+    on every route link; (4) per-link queue update — failed links hold,
+    paused/storming links accrue pause time and drain, normal links
+    integrate their arrivals.
+    """
+    dt = sim.dt
+    steps = int(round(duration / dt))
+    samples_every = max(1, int(round(sim.sample_interval / dt)))
+    samples = _SampleBuffer(None if fabric.is_bottleneck else fabric.names)
+    result = DcqcnResult(duration=duration)
+    marker = sim.marker
+    queues = fabric.queues
+    modes = fabric.modes
+    routes = fabric.routes
+    paused = fabric.paused
+    pause_seconds = fabric.pause_seconds
+    n_links = len(queues)
+    has_pfc = sim.pfc_pause_threshold is not None
+    pause_threshold = sim.pfc_pause_threshold
+    resume_threshold = sim.pfc_resume_threshold
+    blocked = [False] * n_links
+    p_link = [0.0] * n_links
+    arrivals = [0.0] * n_links
+    for window in fabric.windows(sim.faults, steps, dt):
+        fabric.apply_window(window.modes)
+        for step_index in range(window.start, window.end):
+            now = step_index * dt
+            for link in range(n_links):
+                if modes[link] == MODE_NORMAL:
+                    occupancy = queues[link].occupancy
+                    if has_pfc:
+                        if not paused[link] and occupancy >= pause_threshold:
+                            paused[link] = True
+                        elif paused[link] and occupancy <= resume_threshold:
+                            paused[link] = False
+                    blocked[link] = paused[link]
+                    p_link[link] = marker.marking_probability(occupancy)
+                else:
+                    blocked[link] = True
+                arrivals[link] = 0.0
+            for slot, sender in enumerate(sim.senders):
+                route = routes[slot]
+                skip = False
+                for link in route:
+                    if blocked[link]:
+                        skip = True
+                        break
+                if skip:
+                    continue
+                p_mark = 0.0
+                for link in route:
+                    if p_link[link] > p_mark:
+                        p_mark = p_link[link]
+                sent = sender.step(now, dt, p_mark)
+                for link in route:
+                    arrivals[link] += sent
+            for link in range(n_links):
+                mode = modes[link]
+                if mode == MODE_FREEZE:
+                    continue
+                if mode == MODE_STORM or paused[link]:
+                    pause_seconds[link] += dt
+                    sim.pfc_pause_seconds += dt
+                queues[link].step(
+                    arrivals[link] / dt if dt > 0 else 0.0, dt
+                )
+            if (step_index + 1) % samples_every == 0:
+                samples.snapshot(
+                    (step_index + 1) * dt,
+                    sim.senders,
+                    [queue.occupancy for queue in queues],
+                )
+    fabric.restore()
+    if fabric.is_bottleneck:
+        sim.pfc_paused = paused[0]
+    samples.flush(result, [s.name for s in sim.senders], sim.telemetry)
+    if sim.telemetry.enabled:
+        sim.telemetry.counter("cc.steps").inc(steps)
+        cnp_counter = sim.telemetry.counter("cc.cnps")
+        for sender in sim.senders:
+            cnp_counter.inc(getattr(sender, "cnps_received", 0))
+    result.timelines = {
+        sender.name: sender.timeline
+        for sender in sim.senders
+        if isinstance(sender, OnOffSource)
+    }
+    return result
 
 
 def calibrate_timer_weights(

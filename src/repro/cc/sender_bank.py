@@ -3,10 +3,9 @@
 :class:`SenderBank` is the ``engine="vector"`` fast path of
 :class:`repro.cc.dcqcn.DcqcnFluidSimulator` on every topology. It runs
 over a :class:`LinkFabric` — per-link queues, PFC state and the links x
-senders route incidence. The classic single bottleneck is the one-link
-fabric :meth:`LinkFabric.bottleneck` (link :data:`BOTTLENECK`, wrapping
-``sim.queue``); a topology-backed simulator brings the fabric that
-:class:`repro.cc.link_engine.LinkSenderBank` attaches. The bank holds
+senders route incidence, built by :meth:`LinkFabric.of`: a topology's
+routed links, or without a topology the one link :data:`BOTTLENECK`
+wrapping ``sim.queue``. The bank holds
 every sender's DCQCN rate-machine state (current/target rate, alpha,
 byte/timer accumulators, increase-stage counters, CNP gating clocks) in
 structure-of-arrays form and advances the whole bank per tick, with the
@@ -15,7 +14,7 @@ marking randomness pre-drawn in chunks from each sender's generator
 every observable output (rate series, queue series, job timelines,
 bytes/remaining, CNP counts, RNG stream position, PFC pause time)
 *bit-identical* to the scalar reference loop
-:func:`repro.cc.link_engine.run_scalar_fabric` over the same fabric:
+:func:`repro.cc.dcqcn.run_scalar_fabric` over the same fabric:
 
 * **Deterministic span advancement** — a tick is deterministic when no
   CNP can possibly arrive on it: on every link either the queue sits at
@@ -78,15 +77,16 @@ import numpy as np
 
 from ..core.lifecycle import OnOffSource
 from ..errors import ConfigError
-from ..faults.events import InjectionSchedule  # simlint: disable=ARCH001 - CC tiers execute fault windows inline for bit-equivalence; shared types pending a layer move
-from ..faults.runtime import (  # simlint: disable=ARCH001 - same inversion as above
+from ..faults.events import InjectionSchedule
+from ..faults.runtime import (
     MODE_FREEZE,
     MODE_NORMAL,
     MODE_STORM,
     FabricWindow,
-    capacity_windows,
+    build_warp,
     link_capacity_windows,
 )
+from ..net.topology import BOTTLENECK
 from ..switches.ecn import RedEcnMarker
 from ..switches.queues import FluidQueue
 from .dcqcn import (
@@ -368,21 +368,16 @@ class _Plan:
         self.ph0 = ph0
 
 
-#: Link name of the one-link fabric that models the classic single
-#: bottleneck (see :meth:`LinkFabric.bottleneck`).
-BOTTLENECK = "bottleneck"
-
-
 class LinkFabric:
     """Per-link queues, PFC state and route incidence for one simulator.
 
-    ``routes`` holds one tuple of link indices per sender slot. A
-    topology-backed fabric (:meth:`from_topology`) interns links in
-    first-use order over the senders' routes (plus any extra links a
-    fault schedule names), so it only carries the links traffic or
-    faults can actually touch — a fat tree has ``5k^3/4`` directed
-    links but a handful of jobs cross far fewer. The classic single
-    bottleneck is the one-link fabric of :meth:`bottleneck`.
+    ``routes`` holds one tuple of link indices per sender slot. Build one
+    with :meth:`of`: a topology-backed fabric interns links in first-use
+    order over the senders' routes (plus any extra links a fault
+    schedule names), so it only carries the links traffic or faults can
+    actually touch — a fat tree has ``5k^3/4`` directed links but a
+    handful of jobs cross far fewer. A simulator without a topology is
+    the one-link fabric of the dumbbell's bottleneck ``L1``.
     """
 
     def __init__(
@@ -405,9 +400,9 @@ class LinkFabric:
         self.routes: List[Tuple[int, ...]] = [
             tuple(self.index[name] for name in route) for route in routes
         ]
-        #: The single-bottleneck fabric: its fault windows come from the
-        #: one-link :func:`capacity_windows`, and its results carry the
-        #: headline queue series only (no per-link series).
+        #: The fabric of a simulator without a topology: its results
+        #: carry the headline queue series only (no per-link series),
+        #: and its PFC state is the simulator's own.
         self.is_bottleneck = is_bottleneck
         n = len(self.names)
         self.paused: List[bool] = [False] * n
@@ -418,57 +413,48 @@ class LinkFabric:
         self._index_modes()
 
     @classmethod
-    def from_topology(
+    def of(
         cls,
-        topology,
+        sim,
         routes: Sequence[Tuple[str, ...]],
-        extra_links: Sequence[str] = (),
         max_occupancy: float = math.inf,
     ) -> "LinkFabric":
-        """Resolve named routes (and extra fault-targeted links) against
-        ``topology``, one fresh queue per link."""
-        names = list(dict.fromkeys(chain(*routes, extra_links)))
-        capacities = [topology.link_by_name(name).capacity for name in names]
-        queues = [
-            FluidQueue(capacity, max_occupancy=max_occupancy)
-            for capacity in capacities
-        ]
-        return cls(names, capacities, routes, queues)
+        """The links ``sim`` steps for ``routes`` (one per source).
 
-    @classmethod
-    def bottleneck(cls, sim) -> "LinkFabric":
-        """The single-bottleneck simulator ``sim`` as a one-link fabric:
-        link :data:`BOTTLENECK` wraps ``sim.queue`` and carries its PFC
-        state, and every sender routes across it."""
-        fabric = cls(
-            [BOTTLENECK], [sim.capacity],
-            [(BOTTLENECK,)] * len(sim.senders), [sim.queue],
-            is_bottleneck=True,
-        )
-        fabric.paused[0] = sim.pfc_paused
-        return fabric
-
-    def base_capacities(self) -> Dict[str, float]:
-        """Link name -> base capacity, for the fault-window segmentation."""
-        return dict(zip(self.names, self.base_caps))
+        Without a topology: one link :data:`BOTTLENECK` wrapping
+        ``sim.queue`` with ``sim``'s PFC state copied in, built per run.
+        With one: the routes' links plus the schedule's, resolved
+        against the topology with one fresh queue each, built on first
+        use and kept on ``sim.fabric`` so queues carry over between
+        runs.
+        """
+        if sim.topology is None:
+            fabric = cls(
+                [BOTTLENECK], [sim.capacity], routes, [sim.queue],
+                is_bottleneck=True,
+            )
+            fabric.paused[0] = getattr(sim, "pfc_paused", False)
+            return fabric
+        if sim.fabric is None:
+            extra = () if sim.faults is None else sim.faults.link_names()
+            names = list(dict.fromkeys(chain(*routes, extra)))
+            capacities = [
+                sim.topology.link_by_name(name).capacity for name in names
+            ]
+            queues = [
+                FluidQueue(capacity, max_occupancy=max_occupancy)
+                for capacity in capacities
+            ]
+            sim.fabric = cls(names, capacities, routes, queues)
+        return sim.fabric
 
     def windows(
         self, schedule: Optional[InjectionSchedule], steps: int, dt: float
     ) -> List[FabricWindow]:
         """The fault windows tiling ``[0, steps)`` on this fabric."""
-        if not self.is_bottleneck:
-            return link_capacity_windows(
-                schedule, steps, dt, self.base_capacities()
-            )
-        return [
-            FabricWindow(
-                window.start, window.end,
-                {BOTTLENECK: (window.mode, window.capacity)},
-            )
-            for window in capacity_windows(
-                schedule, steps, dt, self.base_caps[0]
-            )
-        ]
+        return link_capacity_windows(
+            schedule, steps, dt, dict(zip(self.names, self.base_caps))
+        )
 
     def apply_window(self, modes: Dict[str, Tuple[str, float]]) -> None:
         """Point every link at one fault window's mode and capacity."""
@@ -515,6 +501,65 @@ class LinkFabric:
             if other != mode:
                 return None
         return mode
+
+
+def check_route(sim, name: str, route: Sequence[str]) -> Tuple[str, ...]:
+    """Source ``name``'s route as link names, checked against ``sim``.
+
+    Without a topology a source names no route and crosses the one link
+    :data:`BOTTLENECK`; on a topology it names a route of distinct
+    links the topology has.
+    """
+    route = tuple(route)
+    if sim.topology is None:
+        if route:
+            raise ConfigError(
+                f"sender {name!r} carries a route but the simulator has "
+                f"no topology; pass topology= to {type(sim).__name__} to "
+                "enable multi-link routes"
+            )
+        return (BOTTLENECK,)
+    if not route:
+        raise ConfigError(
+            f"sender {name!r} needs a route (tuple of link names) on a "
+            "topology-backed simulator"
+        )
+    if len(set(route)) != len(route):
+        raise ConfigError(
+            f"sender {name!r} route visits a link twice: {route}"
+        )
+    for link_name in route:
+        sim.topology.link_by_name(link_name)  # raises if unknown
+    return route
+
+
+def check_fault_links(sim) -> None:
+    """Reject a schedule naming a link ``sim`` does not have: without a
+    topology that is any link but :data:`BOTTLENECK` (a topology's
+    fabric resolves the names when it is built)."""
+    if sim.topology is None and sim.faults is not None:
+        unknown = [
+            name for name in sim.faults.link_names() if name != BOTTLENECK
+        ]
+        if unknown:
+            raise ConfigError(
+                f"fault schedule names link(s) {unknown}, but a "
+                f"{type(sim).__name__} without a topology has only the "
+                f"bottleneck {BOTTLENECK!r}"
+            )
+
+
+def install_warps(sim, sources, routes) -> None:
+    """Attach each on-off source's fault warp (stragglers, skew, latency
+    spikes on the links of its route) once per simulator."""
+    if sim.faults is None or sim.warps_installed:
+        return
+    sim.warps_installed = True
+    for source, route in zip(sources, routes):
+        if isinstance(source, OnOffSource):
+            warp = build_warp(sim.faults, source.name, route)
+            if warp is not None:
+                source.install_warp(warp)
 
 
 class SenderBank:
@@ -584,28 +629,22 @@ class SenderBank:
 
     @classmethod
     def build(cls, sim) -> Optional["SenderBank"]:
-        """A bank for ``sim``'s sources, or ``None`` if the vector engine
-        does not cover the configuration (the run then falls back to the
-        scalar reference loop): a source type outside its supported set,
-        a bottleneck queue that is not an unbounded :class:`FluidQueue`,
-        or a topology-backed simulator without an attached fabric (see
-        :class:`repro.cc.link_engine.LinkSenderBank`)."""
+        """A bank for ``sim``'s sources over its :meth:`LinkFabric.of`,
+        or ``None`` if the vector engine does not cover the configuration
+        (the run then falls back to the scalar reference loop): a source
+        type outside its supported set, or a link queue that is not an
+        unbounded :class:`FluidQueue`."""
         for source in sim.senders:
             if type(source) is not DcqcnSender and (
                 type(source) is not OnOffDcqcnJob
             ):
                 return None
-        if sim.topology is not None:
-            fabric = sim.fabric
-            if fabric is None:
-                return None
-        else:
-            queue = sim.queue
+        fabric = LinkFabric.of(sim, sim.routes)
+        for queue in fabric.queues:
             if type(queue) is not FluidQueue or not math.isinf(
                 queue.max_occupancy
             ):
                 return None
-            fabric = LinkFabric.bottleneck(sim)
         bank = cls(sim, fabric)
         for source in sim.senders:
             bank._add_slot(source)

@@ -25,13 +25,10 @@ from .runtime import (
     MODE_STORM,
     FabricWindow,
     JobWarp,
-    Window,
     build_warp,
-    capacity_windows,
     emit_fault_events,
     link_capacity_windows,
     quantize_tick,
-    single_link,
 )
 
 __all__ = [
@@ -51,11 +48,8 @@ __all__ = [
     "MODE_STORM",
     "FabricWindow",
     "JobWarp",
-    "Window",
     "build_warp",
-    "capacity_windows",
     "emit_fault_events",
     "link_capacity_windows",
     "quantize_tick",
-    "single_link",
 ]

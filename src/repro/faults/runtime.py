@@ -4,11 +4,12 @@ Two mechanisms cover every tier:
 
 * **Capacity windows** — fixed-step fluid tiers quantize the schedule's
   capacity-affecting link events onto the tick grid and partition the
-  run ``[0, steps)`` into :class:`Window` spans, each with a mode
-  (normal / freeze / storm) and an effective capacity. An empty schedule
-  yields a single normal window, so the unfaulted code path is
-  bit-identical to a schedule-free run. The event-driven tiers instead
-  schedule capacity mutations directly on the simulator clock.
+  run ``[0, steps)`` into :class:`FabricWindow` spans, each giving every
+  faulted link a mode (normal / freeze / storm) and an effective
+  capacity. An empty schedule yields a single normal window, so the
+  unfaulted code path is bit-identical to a schedule-free run. The
+  event-driven tiers instead schedule capacity mutations directly on
+  the simulator clock.
 * **Job warps** — per-job compute perturbations (stragglers, clock
   skew) and latency spikes compile into a :class:`JobWarp`, a picklable
   callable installed as :attr:`repro.core.lifecycle.JobLifecycle.warp`.
@@ -25,7 +26,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from ..errors import ConfigError
 from .events import (
     InjectionSchedule,
-    LatencySpike,
     LinkFailure,
     PfcStorm,
     RateChange,
@@ -38,107 +38,33 @@ MODE_FREEZE = "freeze"
 MODE_STORM = "storm"
 
 
-@dataclass(frozen=True)
-class Window:
-    """One span of ticks ``[start, end)`` under a single fault mode.
-
-    Attributes:
-        start: First tick index of the span (inclusive).
-        end: One past the last tick index (exclusive).
-        mode: ``MODE_NORMAL`` (run the regular loop at ``capacity``),
-            ``MODE_FREEZE`` (link failed: nothing moves) or
-            ``MODE_STORM`` (PFC storm: senders idle, queue drains).
-        capacity: Effective link capacity over the span, bytes/s.
-    """
-
-    start: int
-    end: int
-    mode: str
-    capacity: float
-
-
 def quantize_tick(time: float, dt: float) -> int:
     """Map an event time onto the tick grid (nearest tick boundary)."""
     return int(round(time / dt))
 
 
-def single_link(schedule: Optional[InjectionSchedule]) -> Optional[str]:
-    """The unique link a schedule addresses, for single-bottleneck tiers.
-
-    Returns ``None`` for an empty/link-free schedule and raises
-    :class:`~repro.errors.ConfigError` when events name more than one
-    distinct link — a single-bottleneck fluid model cannot tell them
-    apart.
-    """
-    if schedule is None:
-        return None
-    names = schedule.link_names()
-    if not names:
-        return None
-    if len(names) > 1:
-        raise ConfigError(
-            "single-bottleneck tier cannot apply a schedule naming "
-            f"multiple links: {names}"
-        )
-    return names[0]
-
-
-def capacity_windows(
-    schedule: Optional[InjectionSchedule],
-    steps: int,
-    dt: float,
-    base_capacity: float,
-) -> List[Window]:
-    """Partition ``[0, steps)`` into fault windows for a fixed-step run.
-
-    Event times are quantized with :func:`quantize_tick`; events that
-    collapse to zero ticks at this resolution are dropped (consistent
-    with the schedule-level zero-duration no-op rule). The returned
-    windows tile the whole run, and an empty schedule yields exactly one
-    ``MODE_NORMAL`` window at ``base_capacity``.
-    """
-    events = [] if schedule is None else schedule.capacity_events(
-        single_link(schedule)
-    )
-    spans = _event_spans(events, steps, dt, base_capacity)
-    windows: List[Window] = []
-    cursor = 0
-    for span in spans:
-        if span.start > cursor:
-            windows.append(Window(
-                cursor, span.start, MODE_NORMAL, base_capacity
-            ))
-        windows.append(span)
-        cursor = span.end
-    if cursor < steps or not windows:
-        windows.append(Window(cursor, steps, MODE_NORMAL, base_capacity))
-    return windows
-
-
 def _event_spans(
     events, steps: int, dt: float, base_capacity: float
-) -> List[Window]:
-    """One link's capacity events quantized into sorted mode spans.
-
-    The shared per-link half of :func:`capacity_windows` and
-    :func:`link_capacity_windows`: gap tiling (and, for the multi-link
-    variant, cross-link boundary merging) happens in the callers.
-    """
-    spans: List[Window] = []
+) -> List[Tuple[int, int, str, float]]:
+    """One link's capacity events quantized into ``(start, end, mode,
+    capacity)`` spans sorted by start; events that collapse to zero
+    ticks at this resolution are dropped (consistent with the
+    schedule-level zero-duration no-op rule)."""
+    spans = []
     for event in events:
         start = min(max(quantize_tick(event.start, dt), 0), steps)
         end = min(max(quantize_tick(event.end, dt), 0), steps)
         if end <= start:
             continue
         if isinstance(event, RateChange):
-            spans.append(Window(
-                start, end, MODE_NORMAL, base_capacity * event.factor
-            ))
+            spans.append(
+                (start, end, MODE_NORMAL, base_capacity * event.factor)
+            )
         elif isinstance(event, LinkFailure):
-            spans.append(Window(start, end, MODE_FREEZE, 0.0))
+            spans.append((start, end, MODE_FREEZE, 0.0))
         else:  # PfcStorm — the queue still drains at base capacity.
-            spans.append(Window(start, end, MODE_STORM, base_capacity))
-    spans.sort(key=lambda w: w.start)
+            spans.append((start, end, MODE_STORM, base_capacity))
+    spans.sort(key=lambda span: span[0])
     return spans
 
 
@@ -167,8 +93,8 @@ def link_capacity_windows(
 ) -> List[FabricWindow]:
     """Partition ``[0, steps)`` into per-link fault windows.
 
-    The multi-link generalization of :func:`capacity_windows`:
-    ``capacities`` maps every fabric link name to its base capacity, the
+    ``capacities`` maps every link of the run to its base capacity (a
+    simulator without a topology has the one link ``"L1"``), the
     schedule may address any subset of them, and the returned windows
     merge all scheduled links' quantized boundaries so that within one
     window every link holds a single mode. An empty schedule yields one
@@ -188,16 +114,16 @@ def link_capacity_windows(
             f"fault schedule targets unknown link(s) {unknown}; "
             f"fabric links are {sorted(capacities)}"
         )
-    spans_by_link: Dict[str, List[Window]] = {}
+    spans_by_link = {}
     cut_set = {0, steps}
     for name in names:
         spans = _event_spans(
             schedule.capacity_events(name), steps, dt, capacities[name]
         )
         spans_by_link[name] = spans
-        for span in spans:
-            cut_set.add(span.start)
-            cut_set.add(span.end)
+        for start, end, _, _ in spans:
+            cut_set.add(start)
+            cut_set.add(end)
     cuts = sorted(tick for tick in cut_set if 0 <= tick <= steps)
     windows: List[FabricWindow] = []
     for start, end in zip(cuts, cuts[1:]):
@@ -205,9 +131,9 @@ def link_capacity_windows(
             continue
         modes: Dict[str, Tuple[str, float]] = {}
         for name in names:
-            for span in spans_by_link[name]:
-                if span.start <= start < span.end:
-                    modes[name] = (span.mode, span.capacity)
+            for span_start, span_end, mode, capacity in spans_by_link[name]:
+                if span_start <= start < span_end:
+                    modes[name] = (mode, capacity)
                     break
         windows.append(FabricWindow(start, end, modes))
     if not windows:

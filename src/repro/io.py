@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import numbers
 import typing
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Sequence, Union
@@ -87,12 +88,10 @@ def to_dict(obj: Any) -> Dict[str, Any]:
         return document
     if cls not in _FIELDWISE:
         raise ConfigError(f"cannot serialize an object of type {cls.__name__}")
-    for name, hook, omit_empty in _encode_plan(cls):
+    for name, encode, omit_empty in _encode_plan(cls):
         value = getattr(obj, name)
-        if hook is not None:
-            document[name] = hook(value)
-        elif value or not omit_empty:
-            document[name] = _encode(value)
+        if value or not omit_empty:
+            document[name] = encode(value)
     if cls in _TAGGED:
         document["kind"] = cls.kind
     return document
@@ -121,13 +120,57 @@ def run_result_from_dict(data: Dict[str, Any]) -> RunResult:
 
 
 @functools.lru_cache(maxsize=None)
+def _hints(cls: type) -> Dict[str, Any]:
+    """The resolved field type hints of ``cls``, for both directions."""
+    return typing.get_type_hints(cls, localns=_LOCALNS)
+
+
+@functools.lru_cache(maxsize=None)
 def _encode_plan(cls: type) -> tuple:
-    """``(field name, hook, omit when empty)`` per field of ``cls``."""
+    """``(field name, encoder, omit when empty)`` per field of ``cls``."""
     return tuple(
-        (f.name, _ENCODE_HOOKS.get((cls, f.name)),
+        (f.name,
+         _ENCODE_HOOKS.get((cls, f.name)) or _encoder(_hints(cls)[f.name]),
          (cls, f.name) in _OMIT_EMPTY)
         for f in dataclasses.fields(cls)
     )
+
+
+def _as_float(value: Any) -> Any:
+    """A number as the float the decoder reads it as, so that equal
+    objects (``1`` or ``1.0``) encode, and hash, alike."""
+    return float(value) if isinstance(value, numbers.Real) else value
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(hint: Any) -> Callable[[Any], Any]:
+    """The encoder of one type hint: every value the decoder reads with
+    ``float`` is written as a float, anything else goes to
+    :func:`_encode`."""
+    if hint is float:
+        return _as_float
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union and len(args) == 2 and type(None) in args:
+        inner = _encoder(args[0] if args[1] is type(None) else args[1])
+        return _encode if inner is _encode else (
+            lambda value: None if value is None else inner(value)
+        )
+    if origin is dict:
+        item = _encoder(args[1])
+        return _encode if item is _encode else (
+            lambda value: {key: item(v) for key, v in value.items()}
+        )
+    if origin is list or (origin is tuple and args[-1:] == (Ellipsis,)):
+        item = _encoder(args[0])
+        return _encode if item is _encode else (
+            lambda value: [item(v) for v in value]
+        )
+    if origin is tuple:
+        items = [_encoder(arg) for arg in args]
+        return _encode if all(i is _encode for i in items) else (
+            lambda value: [item(v) for item, v in zip(items, value)]
+        )
+    return _encode
 
 
 def _encode(value: Any) -> Any:
@@ -199,7 +242,7 @@ def _converter(hint: Any) -> Callable[[Any], Any]:
 
 
 def _fieldwise_decoder(cls: type) -> Callable[[Any], Any]:
-    hints = typing.get_type_hints(cls, localns=_LOCALNS)
+    hints = _hints(cls)
     plan = [(
         f.name,
         _DECODE_HOOKS.get((cls, f.name)) or _converter(hints[f.name]),
@@ -292,7 +335,10 @@ _POLICY_KINDS = {kind: cls for cls, (kind, _) in _POLICIES.items()}
 
 def _policy_to_dict(policy: SharePolicy) -> Dict[str, Any]:
     kind, rows = _POLICIES[type(policy)]
-    fields = {key: getattr(policy, attribute) for key, attribute, _ in rows}
+    fields = {
+        key: _encoder(hint)(getattr(policy, attribute))
+        for key, attribute, hint in rows
+    }
     return {"kind": kind, **fields}
 
 

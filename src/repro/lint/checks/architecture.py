@@ -3,8 +3,8 @@
 The repo's packages form an explicit layering (configured under
 ``[tool.repro-lint]`` in pyproject.toml, rendered in DESIGN.md)::
 
-    units/errors/floats  ->  sim/net/core  ->  cc/mechanisms/switches
-        ->  workloads/scheduler  ->  faults/runner  ->  experiments/cli
+    units/errors/floats/faults  ->  sim/net/core  ->  cc/mechanisms/switches
+        ->  workloads/scheduler  ->  runner  ->  experiments/cli
 
 with ``telemetry`` and ``io`` declared cross-cutting. A package may
 import its own layer and anything below; an *upward* import couples a
@@ -40,8 +40,8 @@ class LayerDagRule(BaseProjectRule):
     name = "layer-dag"
     severity = Severity.ERROR
     description = (
-        "packages form a DAG (units/errors/floats -> sim/net/core -> "
-        "cc/mechanisms/switches -> workloads/scheduler -> faults/runner "
+        "packages form a DAG (units/errors/floats/faults -> sim/net/core "
+        "-> cc/mechanisms/switches -> workloads/scheduler -> runner "
         "-> experiments/cli, telemetry+io cross-cutting); upward "
         "imports and module cycles knot foundations to the machinery "
         "built on them."

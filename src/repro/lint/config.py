@@ -30,11 +30,11 @@ from ..errors import ConfigError
 
 #: The repo's layer DAG, lowest layer first (see DESIGN.md).
 DEFAULT_LAYERS: Tuple[Tuple[str, ...], ...] = (
-    ("units", "errors", "floats"),
+    ("units", "errors", "floats", "faults"),
     ("sim", "net", "core"),
     ("cc", "mechanisms", "switches"),
     ("workloads", "scheduler"),
-    ("faults", "runner"),
+    ("runner",),
     ("analysis", "experiments", "cli", "lint"),
 )
 

@@ -56,11 +56,14 @@ class PeriodicGate:
         )
 
     def to_state(self) -> Dict[str, object]:
-        """The gate's resolved timing state (seconds, not ticks)."""
+        """The gate's resolved timing state (seconds, not ticks), as the
+        floats :meth:`from_state` reads it back as."""
         return {
-            "period": self.period,
-            "epoch": self.epoch,
-            "openings": [list(pair) for pair in self._openings],
+            "period": float(self.period),
+            "epoch": float(self.epoch),
+            "openings": [
+                [float(start), float(end)] for start, end in self._openings
+            ],
         }
 
     @classmethod

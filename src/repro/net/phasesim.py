@@ -29,12 +29,12 @@ import numpy as np
 from ..core.lifecycle import Gate, JobLifecycle, JobState
 from ..core.timeline import IterationSample, JobTimeline
 from ..errors import ConfigError, SimulationError, WorkloadError
-from ..faults.events import (  # simlint: disable=ARCH001 - phase sim applies injection schedules directly; fault event types pending a layer move
+from ..faults.events import (
     CAPACITY_EVENT_TYPES,
     InjectionSchedule,
     RateChange,
 )
-from ..faults.runtime import build_warp  # simlint: disable=ARCH001 - same inversion as above
+from ..faults.runtime import build_warp
 from ..sim.engine import Simulator
 from ..sim.rng import RandomStreams
 from ..sim.trace import StepFunction

@@ -253,10 +253,10 @@ class FluidBackend:
     experiment protocol.
 
     Without a topology the spec describes the classic single-bottleneck
-    run. With ``spec.topology`` set, every sender must carry a
-    ``route`` (link names) and the simulator switches to the multi-link
-    fabric engines in :mod:`repro.cc.link_engine`; fault schedules may
-    then target any fabric link.
+    run, the one-link fabric ``L1``. With ``spec.topology`` set, every
+    sender must carry a ``route`` (link names) and the simulator runs
+    over the routed :class:`repro.cc.sender_bank.LinkFabric`; fault
+    schedules may then target any fabric link.
     """
 
     name = "fluid"

@@ -72,8 +72,9 @@ class SenderSpec:
 
     ``route`` names the fabric links the sender's traffic traverses, in
     order; it requires the spec to carry a ``topology`` and switches the
-    fluid backend to the multi-link fabric engine
-    (:mod:`repro.cc.link_engine`). Empty on single-bottleneck runs.
+    fluid backend to the multi-link fabric
+    (:class:`repro.cc.sender_bank.LinkFabric`). Empty on
+    single-bottleneck runs, whose every sender crosses ``L1``.
     """
 
     name: str

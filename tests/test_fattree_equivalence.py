@@ -1,9 +1,9 @@
 """Cross-engine bit-equivalence of the multi-link fabric tier.
 
-The fat-tree generalization adds a whole new engine pair — the
-per-link scalar reference (:func:`repro.cc.link_engine.run_scalar_fabric`)
-and the vectorized :class:`repro.cc.link_engine.LinkSenderBank` — and
-the single-link guarantee must carry over verbatim: same sampled rate
+The fat-tree generalization runs the one engine pair — the per-link
+scalar reference (:func:`repro.cc.dcqcn.run_scalar_fabric`) and the
+vectorized :class:`repro.cc.sender_bank.SenderBank` — over a many-link
+fabric, and the single-link guarantee must carry over verbatim: same sampled rate
 series, same per-link queue series, same timelines and the same number
 of random draws, on clean runs and under fault schedules that now
 target *different* links of the same fabric. The AIMD fabric loop has

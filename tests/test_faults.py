@@ -14,6 +14,8 @@ import json
 import pytest
 
 from repro import io
+from repro.cc.aimd import AimdFluidSimulator
+from repro.cc.dcqcn import DcqcnFluidSimulator
 from repro.cc.fair import FairSharing
 from repro.errors import ConfigError
 from repro.faults import (
@@ -29,8 +31,7 @@ from repro.faults import (
     RateChange,
     Straggler,
     build_warp,
-    capacity_windows,
-    single_link,
+    link_capacity_windows,
 )
 from repro.faults.events import FaultEventT
 from repro.net.topology import BOTTLENECK
@@ -129,7 +130,16 @@ class TestScheduleValidation:
         schedule = InjectionSchedule()
         assert schedule.is_empty
         assert schedule.link_names() == []
-        assert single_link(schedule) is None
+
+
+#: The simulators whose run without a topology is the one-link fabric
+#: of the dumbbell's ``L1``.
+_FLUID_SIMULATORS = (DcqcnFluidSimulator, AimdFluidSimulator)
+
+
+def _modes(windows, capacity):
+    """Each window's ``(mode, capacity)`` on ``L1``."""
+    return [w.modes.get("L1", (MODE_NORMAL, capacity)) for w in windows]
 
 
 class TestRuntimeHelpers:
@@ -138,8 +148,20 @@ class TestRuntimeHelpers:
             RateChange("L1", 0.0, 1.0, 0.5),
             LinkFailure("L2", 0.0, 1.0),
         ))
-        with pytest.raises(ConfigError):
-            single_link(schedule)
+        for simulator in _FLUID_SIMULATORS:
+            with pytest.raises(ConfigError, match="L2"):
+                simulator(faults=schedule)
+
+    @pytest.mark.parametrize("simulator", _FLUID_SIMULATORS)
+    @pytest.mark.parametrize("event", [
+        RateChange("L2", 0.0, 0.01, 0.5),
+        LatencySpike("L2", 0.0, 0.01, 0.001),
+    ])
+    def test_topology_free_rejects_other_link_names(self, simulator, event):
+        # Regression: a one-link schedule used to land on the bottleneck
+        # whatever link it named.
+        with pytest.raises(ConfigError, match="'L2'"):
+            simulator(faults=InjectionSchedule(events=(event,)))
 
     def test_windows_tile_the_run(self):
         schedule = InjectionSchedule(events=(
@@ -147,34 +169,34 @@ class TestRuntimeHelpers:
             LinkFailure("L1", 0.004, 0.005),
             PfcStorm("L1", 0.007, 0.008),
         ))
-        windows = capacity_windows(schedule, 1000, 10e-6, 100.0)
+        windows = link_capacity_windows(schedule, 1000, 10e-6, {"L1": 100.0})
         assert windows[0].start == 0
         assert windows[-1].end == 1000
         for left, right in zip(windows, windows[1:]):
             assert left.end == right.start
-        modes = [w.mode for w in windows]
-        assert modes == [
+        modes = _modes(windows, 100.0)
+        assert [mode for mode, _ in modes] == [
             MODE_NORMAL, MODE_NORMAL, MODE_NORMAL, MODE_FREEZE,
             MODE_NORMAL, MODE_STORM, MODE_NORMAL,
         ]
-        assert windows[1].capacity == pytest.approx(50.0)
-        assert windows[3].capacity == 0.0
-        assert windows[5].capacity == 100.0
+        assert modes[1][1] == pytest.approx(50.0)
+        assert modes[3][1] == 0.0
+        assert modes[5][1] == 100.0
 
     def test_empty_schedule_yields_one_normal_window(self):
         for schedule in (None, InjectionSchedule()):
-            windows = capacity_windows(schedule, 500, 10e-6, 42.0)
+            windows = link_capacity_windows(schedule, 500, 10e-6, {"L1": 42.0})
             assert len(windows) == 1
             assert windows[0].start == 0 and windows[0].end == 500
-            assert windows[0].mode == MODE_NORMAL
-            assert windows[0].capacity == 42.0
+            assert _modes(windows, 42.0) == [(MODE_NORMAL, 42.0)]
 
     def test_sub_tick_events_collapse_to_noops(self):
         schedule = InjectionSchedule(
             events=(RateChange("L1", 0.0000101, 0.0000102, 0.5),)
         )
-        windows = capacity_windows(schedule, 100, 10e-6, 1.0)
-        assert len(windows) == 1 and windows[0].mode == MODE_NORMAL
+        windows = link_capacity_windows(schedule, 100, 10e-6, {"L1": 1.0})
+        assert len(windows) == 1
+        assert _modes(windows, 1.0) == [(MODE_NORMAL, 1.0)]
 
     def test_job_warp_application_order(self):
         warp = JobWarp(

@@ -7,9 +7,9 @@ fast-forward truncating at every window boundary — and each must
 preserve the guarantee: same sampled series, same timelines, and the
 same number of random draws (so downstream randomness is unshifted).
 
-AIMD has no fast path. Its topology-free run (a one-link fabric whose
-windows come from ``capacity_windows``) must equal a one-link dumbbell
-topology (``link_capacity_windows``), and its fault windows must do
+AIMD has no fast path. Its topology-free run (the one-link fabric
+``L1``) must equal a one-link dumbbell topology, both taking their
+windows from ``link_capacity_windows``, and its fault windows must do
 what they model: a failed link holds every rate, a storm drains the
 queue with no arrivals, and the base capacity comes back after the
 run.

@@ -25,6 +25,7 @@ from repro.cc.weighted import StaticWeighted
 from repro.core.circle import JobCircle
 from repro.core.compatibility import CompatibilityResult
 from repro.core.lifecycle import Gate
+from repro.core.rotation import CommWindow
 from repro.core.timeline import JobTimeline
 from repro.errors import ConfigError
 from repro.faults import (
@@ -259,8 +260,14 @@ class TestRunAllSpecs:
 
 # -- generated round trips ------------------------------------------------
 
-_finite = st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False)
-_positive = st.floats(1e-6, 1e9, allow_nan=False, allow_infinity=False)
+# Float fields also get ints: they must encode as the floats the decoder
+# reads them as.
+_finite = st.integers(0, 10**9) | st.floats(
+    0.0, 1e9, allow_nan=False, allow_infinity=False
+)
+_positive = st.integers(1, 10**9) | st.floats(
+    1e-6, 1e9, allow_nan=False, allow_infinity=False
+)
 _names = st.text("abcxyz01_-", min_size=1, max_size=6)
 
 
@@ -299,7 +306,9 @@ def _schedules(draw):
     """Disjoint windows: one event per slot of a 10 s horizon."""
     slots = draw(st.lists(st.integers(0, 9), max_size=4, unique=True))
     kinds = [
-        lambda s, e: RateChange("L1", s, e, draw(st.floats(0.1, 2.0))),
+        lambda s, e: RateChange(
+            "L1", s, e, draw(st.integers(1, 2) | st.floats(0.1, 2.0))
+        ),
         lambda s, e: LinkFailure("L1", s, e),
         lambda s, e: PfcStorm("L1", s, e),
         lambda s, e: LatencySpike("L2", s, e, draw(st.floats(0.0, 1e-3))),
@@ -333,6 +342,16 @@ _policies = st.one_of(
 
 @st.composite
 def _gates(draw):
+    if draw(st.booleans()):
+        # Built from integer ticks, an integer rate and an integer epoch.
+        period = draw(st.integers(2, 100))
+        start = draw(st.integers(0, period - 2))
+        return PeriodicGate(
+            [CommWindow("j", start, draw(st.integers(1, period - start)),
+                        period)],
+            ticks_per_second=draw(st.integers(1, 1000)),
+            epoch=draw(st.integers(0, 5)),
+        )
     period = draw(st.floats(0.01, 1.0))
     start = draw(st.floats(0.0, 0.5)) * period
     end = start + draw(st.floats(0.01, 0.5)) * period
@@ -372,6 +391,44 @@ _run_specs = st.builds(
     ).map(tuple),
     faults=st.none() | _schedules(),
 )
+
+
+class TestIntsInFloatFields:
+    """Regression: a float field holding an int used to encode as the
+    int, so equal objects (and a decoded copy, which holds the float)
+    got different content hashes and cache entries."""
+
+    def _spec(self, **kwargs):
+        return RunSpec(backend="phase", n_iterations=3, **kwargs)
+
+    def test_job_spec(self):
+        ints = self._spec(jobs=(JobSpec("a", 1, 2000000),))
+        floats = self._spec(jobs=(JobSpec("a", 1.0, 2e6),))
+        clone = io.from_dict(RunSpec, io.to_dict(ints))
+        assert ints.content_hash() == floats.content_hash()
+        assert clone.content_hash() == ints.content_hash()
+
+    def test_static_weighted_policy(self):
+        ints = self._spec(policy=StaticWeighted({"a": 2}))
+        floats = self._spec(policy=StaticWeighted({"a": 2.0}))
+        assert io.to_dict(ints.policy)["weights"] == {"a": 2.0}
+        assert ints.content_hash() == floats.content_hash()
+
+    def test_periodic_gate_from_ints(self):
+        gate = PeriodicGate(
+            [CommWindow("j", 0, 1, 4)], ticks_per_second=2, epoch=1
+        )
+        document = io.to_dict(gate)
+        assert type(document["epoch"]) is float
+        assert all(
+            type(value) is float for pair in document["openings"]
+            for value in pair
+        )
+        clone = io.from_dict(Gate, json.loads(_canonical(document)))
+        assert _canonical(io.to_dict(clone)) == _canonical(document)
+        spec = self._spec(gates=(("a", gate),))
+        copy = io.from_dict(RunSpec, io.to_dict(spec))
+        assert copy.content_hash() == spec.content_hash()
 
 
 def _json_round_trip(cls, obj):

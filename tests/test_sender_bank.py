@@ -328,6 +328,68 @@ class TestDumbbellProperty:
         assert sim_f.pfc_pause_seconds == sim_v.pfc_pause_seconds
 
 
+#: The AIMD property's bottleneck: small enough that generated senders
+#: overflow the buffer (and cut) within one run.
+_AIMD_CAPACITY = mbps(400)
+
+
+@st.composite
+def _aimd_cases(draw):
+    """One generated AIMD single-bottleneck configuration."""
+    sources = draw(st.lists(
+        st.tuples(
+            st.booleans(),  # on-off job (True) or long-lived sender
+            st.sampled_from([gbps(1) / 0.01, gbps(4) / 0.01]),
+            st.floats(0.0, 0.006),  # a job's start offset
+        ),
+        min_size=1, max_size=8,
+    ))
+    return {"sources": sources, "faults": draw(_fault_schedules())}
+
+
+def _build_aimd_case(case, topology=None):
+    """The case as an AIMD simulator; on ``topology`` every source
+    routes across its one link ``L1``."""
+    sim = AimdFluidSimulator(
+        capacity=_AIMD_CAPACITY, buffer_bytes=kib(64),
+        faults=case["faults"], topology=topology,
+    )
+    route = ("L1",) if topology is not None else ()
+    for index, (job, increase, offset) in enumerate(case["sources"]):
+        params = AimdParams(increase_rate=increase)
+        name = f"s{index:02d}"
+        if job:
+            sim.add_job(
+                name, compute_time=0.002 + 0.0005 * (index % 3),
+                comm_bytes=0.002 * _AIMD_CAPACITY, params=params,
+                start_offset=offset, route=route,
+            )
+        else:
+            sim.add_sender(name, params, route=route)
+    return sim
+
+
+class TestAimdDumbbellProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(_aimd_cases())
+    def test_topology_free_matches_one_link_dumbbell(self, case):
+        plain = _build_aimd_case(case)
+        dumbbell = _build_aimd_case(
+            case, Topology.dumbbell(bottleneck_capacity=_AIMD_CAPACITY)
+        )
+        # A first run, then a second continuing from the first's state.
+        for _ in range(2):
+            result_p = plain.run(_PROPERTY_DURATION)
+            result_d = dumbbell.run(_PROPERTY_DURATION)
+            _assert_identical(result_p, result_d)
+            assert set(result_p.timelines) == set(result_d.timelines)
+            for name, timeline in result_p.timelines.items():
+                assert (
+                    repr(timeline.__dict__)
+                    == repr(result_d.timelines[name].__dict__)
+                )
+
+
 class TestOutOfRangeState:
     def test_rate_above_line_falls_back_to_scalar(self):
         # The vector kernel clamps rates only when a CNP or increase
